@@ -21,7 +21,7 @@ from .detectors import EXCEPTION, primality_test, squarefree_test
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
 from .errors import DimfactorError, DomainError, FactoringFailureError, InvalidWeightError
 from .reductions import factor_squarefull_two_values, full_factor_three_values
-from .sweeps import primality_sweep, trichotomy_sweep
+from .sweeps import MAX_SWEEP_HI, check_sweep, primality_sweep, trichotomy_sweep
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -110,6 +110,16 @@ def _check_k(args, k: int) -> None:
         raise UsageError(f"weight {k} exceeds --max-k {args.max_k}")
 
 
+def _oracle_value(value, fetch) -> int:
+    """An explicit oracle value, which must be nonnegative, or the
+    default oracle's answer when none was given."""
+    if value is None:
+        return fetch().value
+    if value < 0:
+        raise UsageError(f"oracle values are nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -158,7 +168,9 @@ def build_parser() -> _Parser:
     p_factor.add_argument("--kb", type=_even_weight, default=2, help="weight for the B value (full mode)")
     p_factor.add_argument("--b", type=int, default=None, help="B(kb, N); fetched when omitted")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="range conformance sweep")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common], help=f"range conformance sweep (HI <= {MAX_SWEEP_HI})"
+    )
     p_sweep.add_argument("range", type=_parse_range, metavar="LO..HI")
     p_sweep.add_argument("--k", type=_parse_weights, default=(2, 4), metavar="K1,K2,...")
     p_sweep.add_argument("--mode", choices=("squarefree", "prime"), default="squarefree")
@@ -195,12 +207,12 @@ def _cmd_test(args) -> int:
         raise UsageError("tests need N >= 2")
     oracle = DefaultOracle()
     if args.kind == "squarefree":
-        value = args.value if args.value is not None else oracle.query_A(k, n).value
+        value = _oracle_value(args.value, lambda: oracle.query_A(k, n))
         verdict = squarefree_test(n, k, value, max_k=args.max_k)
         lhs, rhs = dim_G(k, n), value
         compared = ("G", "A")
     else:
-        value = args.value if args.value is not None else oracle.query_B(k, n).value
+        value = _oracle_value(args.value, lambda: oracle.query_B(k, n))
         verdict = primality_test(n, k, value, max_k=args.max_k)
         lhs, rhs = dim_H(k, n), value
         compared = ("H", "B")
@@ -225,9 +237,7 @@ def _cmd_test(args) -> int:
 def _cmd_bounds(args) -> int:
     _check_k(args, args.k)
     k, n = args.k, args.N
-    value = args.value
-    if value is None:
-        value = DefaultOracle().query_A(k, n).value
+    value = _oracle_value(args.value, lambda: DefaultOracle().query_A(k, n))
     rep = square_divisor_bounds(k, n, value)
     payload = {
         "k": k, "N": n,
@@ -261,8 +271,8 @@ def _cmd_factor(args) -> int:
     n = args.N
     rng = _make_rng(args)
     oracle = DefaultOracle()
-    a1 = args.a1 if args.a1 is not None else oracle.query_A(args.k1, n).value
-    a2 = args.a2 if args.a2 is not None else oracle.query_A(args.k2, n).value
+    a1 = _oracle_value(args.a1, lambda: oracle.query_A(args.k1, n))
+    a2 = _oracle_value(args.a2, lambda: oracle.query_A(args.k2, n))
     if args.mode == "squarefull":
         split = factor_squarefull_two_values(
             n, args.k1, a1, args.k2, a2, rng, retry_budget=args.retry_budget
@@ -274,7 +284,7 @@ def _cmd_factor(args) -> int:
         _emit(args, [f"E={split.E} L={split.L}"], payload)
         return EXIT_OK
     _check_k(args, args.kb)
-    b = args.b if args.b is not None else oracle.query_B(args.kb, n).value
+    b = _oracle_value(args.b, lambda: oracle.query_B(args.kb, n))
     fac = full_factor_three_values(
         n, args.k1, a1, args.k2, a2, args.kb, b, rng, retry_budget=args.retry_budget
     )
@@ -287,6 +297,10 @@ def _cmd_sweep(args) -> int:
     lo, hi = args.range
     for k in args.k:
         _check_k(args, k)
+    try:
+        check_sweep(lo, hi, args.k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     sweep = trichotomy_sweep if args.mode == "squarefree" else primality_sweep
     rep = sweep(lo, hi, args.k)
     lines = [

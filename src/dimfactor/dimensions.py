@@ -16,7 +16,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .arith import (
     Factorization,
@@ -26,7 +25,7 @@ from .arith import (
     weight_class,
 )
 from .errors import InternalInconsistencyError
-from .multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
+from .multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
 
 
 def level_one_newform_dim(k: int) -> int:
@@ -116,32 +115,32 @@ def delta_decomposition(k: int, f: Factorization) -> tuple[Fraction, Fraction, F
     return t1, t2, t3, t4
 
 
-def _mobius_divisor_terms(f: Factorization):
-    """Yield (sign, divisor factorization) over divisors d | N whose
-    cofactor N/d is squarefree, i.e. the nonzero terms of the Mobius
-    inversion.  Each prime keeps exponent e or drops to e - 1."""
-    per_prime = [((p, e), (p, e - 1)) for p, e in f]
-    for combo in product(*per_prime):
-        reduced = sum(1 for (p, e), (_, e0) in zip(combo, f) if e < e0)
-        pairs = tuple((p, e) for p, e in combo if e > 0)
-        yield (-1) ** reduced, Factorization(pairs)
-
-
 def dim_B(k: int, f: Factorization) -> int:
     """Newform dimension at weight k and level N = f.value().
 
-    Obtained by Mobius inversion of the divisor-sum identity relating
-    the representation count to newform dimensions over divisors of N.
+    The Mobius inverse of the representation count over the divisors of
+    N: the same linear combination as :func:`dim_A`, taken over the sharp
+    functions N*s0#, nu_inf#, nu2#, nu3# (each a product of its local
+    factors :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
     The result must be a nonnegative integer.
     """
-    total = 0
-    for sign, d in _mobius_divisor_terms(f):
-        total += sign * dim_A(k, d)
-    if total < 0:
+    wc = weight_class(k)
+    x = w = y = z = mu = 1
+    for p, e in f:
+        lx, lw, ly, lz, lmu = sharp_local(p, e)
+        x, w, y, z, mu = x * lx, w * lw, y * ly, z * lz, mu * lmu
+    total = (
+        Fraction(k - 1, 12) * x
+        - Fraction(w, 2)
+        + wc.c2 * y
+        + wc.c3 * z
+        + wc.delta2 * mu
+    )
+    if total.denominator != 1 or total < 0:
         raise InternalInconsistencyError(
-            f"newform dimension B({k},{f.value()}) = {total} is negative"
+            f"newform dimension B({k},{f.value()}) = {total} is not a nonnegative integer"
         )
-    return total
+    return int(total)
 
 
 # --- sharp values at prime powers --------------------------------------

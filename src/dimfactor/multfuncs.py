@@ -1,9 +1,13 @@
 """The four starred multiplicative functions entering the closed formula
-for the representation count.
+for the representation count, and their sharp (Mobius-inverted)
+counterparts entering the newform dimension.
 
-All four take a :class:`~dimfactor.arith.Factorization`, never a bare
-integer: they are only computable with the factorization in hand, and the
-signature keeps that dependency explicit.
+Both families are defined once, by their local factors at a prime power
+(:func:`star_local`, :func:`sharp_local`); the exact path multiplies them
+over a factorization and the sieve kernels multiply them over a range.
+The functions of N take a :class:`~dimfactor.arith.Factorization`, never
+a bare integer: they are only computable with the factorization in hand,
+and the signature keeps that dependency explicit.
 """
 
 from __future__ import annotations
@@ -14,16 +18,54 @@ from fractions import Fraction
 from .arith import Factorization, kronecker_m3, kronecker_m4
 
 
+def star_local(p: int, e: int) -> tuple[int, int, int, int]:
+    """Local factors at p^e of the four starred functions:
+    (p^e * s0*(p^e), nu_inf*(p^e), nu2*(p^e), nu3*(p^e)), all 1 at e = 0.
+
+    This is the one definition of the starred functions; each of them is
+    the product of its local factor over the prime powers of N.
+    """
+    if e == 0:
+        return 1, 1, 1, 1
+    pe = p**e
+    if e == 1:
+        return pe, 1, kronecker_m4(p), kronecker_m3(p)
+    return (
+        pe - pe // (p * p),
+        (p - 1) * p ** ((e - 2) // 2),
+        -1 if (p, e) == (2, 2) else 0,
+        -1 if (p, e) == (3, 2) else 0,
+    )
+
+
+def sharp_local(p: int, e: int) -> tuple[int, int, int, int, int]:
+    """Local factors at p^e (e >= 1) of the sharp functions
+    f#(p^e) = f*(p^e) - f*(p^(e-1)) for the four starred functions of
+    :func:`star_local`, followed by mu(p^e).
+
+    Their products over the prime powers of N are N*s0#(N), nu_inf#(N),
+    nu2#(N), nu3#(N) and mu(N): the Mobius inverses of the starred
+    functions, from which the newform dimension is one linear combination.
+    """
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
+    hi, lo = star_local(p, e), star_local(p, e - 1)
+    return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3], -1 if e == 1 else 0
+
+
+def _star_product(f: Factorization, i: int) -> int:
+    out = 1
+    for p, e in f:
+        out *= star_local(p, e)[i]
+    return out
+
+
 def s0_star(f: Factorization) -> Fraction:
     """prod (1 - 1/p^2) over primes dividing N to exponent >= 2.
 
     Equals 1 exactly when N is squarefree; always lies in (0, 1].
     """
-    out = Fraction(1)
-    for p, e in f:
-        if e >= 2:
-            out *= 1 - Fraction(1, p * p)
-    return out
+    return Fraction(_star_product(f, 0), f.value())
 
 
 def nu_inf_star(f: Factorization) -> int:
@@ -31,43 +73,19 @@ def nu_inf_star(f: Factorization) -> int:
 
     Equals phi(D) for the largest D with D^2 | N; 1 on squarefree N.
     """
-    out = 1
-    for p, e in f:
-        if e >= 2:
-            # floor(e/2 - 1) == (e - 2) // 2 since e >= 2
-            out *= (p - 1) * p ** ((e - 2) // 2)
-    return out
-
-
-def _quotient_exponents_squarefree(f: Factorization, p0: int, drop: int) -> bool:
-    """Is N / p0^drop squarefree, judging from the factorization of N?"""
-    for p, e in f:
-        cap = 1 + (drop if p == p0 else 0)
-        if e > cap:
-            return False
-    return True
+    return _star_product(f, 1)
 
 
 def nu2_star(f: Factorization) -> int:
     """Twisted Kronecker value at -4: (-4|N) on squarefree N,
     -(-4|N/4) when 4 | N with N/4 squarefree, otherwise 0."""
-    n = f.value()
-    if f.is_squarefree():
-        return kronecker_m4(n)
-    if n % 4 == 0 and _quotient_exponents_squarefree(f, 2, 2):
-        return -kronecker_m4(n // 4)
-    return 0
+    return _star_product(f, 2)
 
 
 def nu3_star(f: Factorization) -> int:
     """Twisted Kronecker value at -3: (-3|N) on squarefree N,
     -(-3|N/9) when 9 | N with N/9 squarefree, otherwise 0."""
-    n = f.value()
-    if f.is_squarefree():
-        return kronecker_m3(n)
-    if n % 9 == 0 and _quotient_exponents_squarefree(f, 3, 2):
-        return -kronecker_m3(n // 9)
-    return 0
+    return _star_product(f, 3)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 A sweep compares the sign pattern of the closed-form-vs-oracle gap over a
 whole level range with what the squarefree and primality
-characterizations predict, using the exact integer kernel tables.
-Violations must be empty; the catalogued exception pairs are reported
-separately.
+characterizations predict, using the exact integer kernel tables: the
+starred tables in squarefree mode, the sharp tables of the window alone
+in primality mode.  Violations must be empty; the catalogued exception
+pairs are reported separately.
 """
 
 from __future__ import annotations
@@ -14,10 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import PRIMALITY_EQUALITY_EXCEPTIONS, PRIMALITY_REVERSED_EXCEPTIONS
-from .kernels import StarTables, dimension_tables, star_tables
+from .kernels import (
+    SharpTables,
+    StarTables,
+    build_sharp_tables,
+    level_one_twelve,
+    star_tables,
+    twelve_A,
+    twelve_B,
+    twelve_G,
+)
 
 SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
+
+# Largest level a sweep accepts: the range the kernels' int64 exactness
+# note covers.  Tables at the cap take several hundred megabytes.
+MAX_SWEEP_HI = 10**7
 
 
 @dataclass
@@ -40,21 +54,31 @@ def _signs(diff: np.ndarray) -> np.ndarray:
     return np.sign(diff).astype(np.int64)
 
 
+def check_sweep(lo: int, hi: int, ks) -> None:
+    """Refuse a sweep the kernels cannot run exactly and in bounded memory."""
+    if lo < 2 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    if hi > MAX_SWEEP_HI:
+        raise ValueError(f"HI = {hi} exceeds the sweep cap {MAX_SWEEP_HI}")
+    for k in ks:
+        if (k - 1) * hi >= 1 << 62:
+            raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
+
+
 def trichotomy_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
     """Check sign(G - A) against the squarefree trichotomy for every
-    level in [lo, hi] and every weight in ks."""
-    if lo < 2 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+    level in [lo, hi] and every weight in ks.  Only the representation
+    count is computed; the newform count plays no part here."""
     ks = tuple(ks)
+    check_sweep(lo, hi, ks)
     tables = tables if tables is not None else star_tables(hi)
-    idx = np.arange(lo, hi + 1)
+    idx = np.arange(lo, hi + 1, dtype=np.int64)
     squarefree = tables.mu[lo : hi + 1] != 0
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
-        dims = dimension_tables(k, tables)
-        got = _signs(dims.G12[lo : hi + 1] - dims.A12[lo : hi + 1])
+        got = _signs(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))
         expected = np.where(squarefree, 0, 1).astype(np.int64)
         if k == 2:
             if lo <= 9 <= hi:
@@ -73,21 +97,31 @@ def trichotomy_sweep(
     return report
 
 
+def _sharp_window(lo: int, hi: int, tables: StarTables | None) -> SharpTables:
+    """The sharp tables covering [lo, hi]: those of ``tables`` when given,
+    otherwise sieved over the window alone."""
+    return tables.sharp if tables is not None else build_sharp_tables(lo, hi)
+
+
+def _twelve_H_minus_B(k: int, idx: np.ndarray, sharp: SharpTables) -> np.ndarray:
+    lo, hi = int(idx[0]), int(idx[-1])
+    return twelve_G(k, idx) - level_one_twelve(k) - twelve_B(k, sharp, lo, hi)
+
+
 def primality_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
     """Check sign(H - B) against the primality trichotomy for every
-    level in [lo, hi] and every weight in ks."""
-    if lo < 2 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+    level in [lo, hi] and every weight in ks.  Without ``tables`` only
+    the window is sieved."""
     ks = tuple(ks)
-    tables = tables if tables is not None else star_tables(hi)
-    idx = np.arange(lo, hi + 1)
-    prime = tables.spf[lo : hi + 1] == idx
+    check_sweep(lo, hi, ks)
+    sharp = _sharp_window(lo, hi, tables)
+    idx = np.arange(lo, hi + 1, dtype=np.int64)
+    prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
-        dims = dimension_tables(k, tables)
-        got = _signs(dims.H12[lo : hi + 1] - dims.B12[lo : hi + 1])
+        got = _signs(_twelve_H_minus_B(k, idx, sharp))
         expected = np.where(prime, 0, 1).astype(np.int64)
         for kk, n in PRIMALITY_EQUALITY_EXCEPTIONS:
             if kk == k and lo <= n <= hi:
@@ -110,9 +144,9 @@ def equality_pairs_at_composites(
 ) -> list[int]:
     """Composite levels in [lo, hi] where H(k, .) equals B(k, .), i.e.
     the observed equality exceptions at weight k."""
-    tables = tables if tables is not None else star_tables(hi)
-    idx = np.arange(lo, hi + 1)
-    prime = tables.spf[lo : hi + 1] == idx
-    dims = dimension_tables(k, tables)
-    eq = dims.H12[lo : hi + 1] == dims.B12[lo : hi + 1]
+    check_sweep(lo, hi, (k,))
+    sharp = _sharp_window(lo, hi, tables)
+    idx = np.arange(lo, hi + 1, dtype=np.int64)
+    prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
+    eq = _twelve_H_minus_B(k, idx, sharp) == 0
     return [int(n) for n in idx[eq & ~prime]]

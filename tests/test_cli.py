@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dimfactor.cli import main
+from dimfactor.sweeps import MAX_SWEEP_HI
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +113,43 @@ def test_sweep_usage(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "squarefree", "2", "12", "-1"],
+        ["test", "prime", "2", "97", "-1"],
+        ["bounds", "2", "12493", "-5"],
+        ["factor", "squarefull", "72", "--a1", "-3"],
+        ["factor", "full", "72", "--b", "-1"],
+    ],
+)
+def test_negative_oracle_values_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("error:") and "nonnegative" in err
+
+
+def test_sweep_cap(capsys, monkeypatch):
+    import dimfactor.sweeps as sweeps
+
+    def refuse(*_):
+        raise AssertionError("the sweep must be refused before any table is built")
+
+    monkeypatch.setattr(sweeps, "star_tables", refuse)
+    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    for mode in ("squarefree", "prime"):
+        code, out, err = run_cli(capsys, "sweep", f"2..{MAX_SWEEP_HI + 1}", "--mode", mode)
+        assert code == 64 and out == ""
+        assert err.startswith("error:") and str(MAX_SWEEP_HI) in err and len(err.splitlines()) == 1
+        code, _, err = run_cli(capsys, "sweep", "2..10000000000000", "--mode", mode, "--json")
+        assert code == 64 and "sweep cap" in err
+    with pytest.raises(ValueError):
+        sweeps.trichotomy_sweep(2, MAX_SWEEP_HI + 1, (2,))
+    # weights whose tables would overflow int64 are refused the same way
+    code, _, err = run_cli(capsys, "sweep", "2..100", "--k", str(1 << 60), "--max-k", str(1 << 60))
+    assert code == 64 and "too large" in err
+
+
 def test_seed_determinism(capsys):
     outs = set()
     for _ in range(2):
@@ -150,3 +190,82 @@ def test_json_round_trip(capsys):
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+
+# --- argv fuzz ---------------------------------------------------------------
+#
+# Random command lines, mostly well formed, run in-process: whatever the
+# input, main returns one of the documented exit codes, writes no
+# traceback, and prints parseable JSON under --json (failures print
+# nothing on stdout).  Levels stay small
+# enough for the default oracle to factor at once, and sweep HI values
+# stay at most 10^4 or go above the cap, so no draw builds a large table.
+
+_WEIGHTS = (2, 4, 6, 12, 14, 26)
+_weights = st.one_of(
+    st.sampled_from(_WEIGHTS), st.integers(-4, 30), st.sampled_from([1 << 20, (1 << 20) + 2, 10**9])
+)
+_levels = st.one_of(st.integers(-3, 60), st.integers(2, 10**6))
+_values = st.one_of(st.integers(-3, 60), st.integers(-(10**6), 10**6), st.integers(-(2**70), 2**70))
+_his = st.one_of(st.integers(-5, 10**4), st.integers(MAX_SWEEP_HI + 1, 10**30))
+_garbage = st.sampled_from(["", "--", "-x", "..", "1..", "abc", "--k", "2,,4", "nan", "1e3", "--mode", "A"])
+
+
+def _text(strategy):
+    return strategy.map(str)
+
+
+def _opts(*pairs):
+    """Zero to four of the given (flag, value strategy) pairs, flattened."""
+    one = st.one_of(*[st.tuples(st.just(flag), _text(v)).map(list) for flag, v in pairs])
+    return st.lists(one, max_size=4).map(lambda opts: [x for o in opts for x in o])
+
+
+_dim = st.tuples(
+    st.sampled_from(["A", "B", "G", "H", "delta", "Q"]), _text(_weights), _text(_levels)
+).map(lambda t: ["dim", *t])
+_test = st.tuples(
+    st.sampled_from(["squarefree", "prime"]), _text(_weights), _text(_levels),
+    st.lists(_text(_values), max_size=1),
+).map(lambda t: ["test", *t[:3], *t[3]])
+_bounds = st.tuples(_text(_weights), _text(_levels), st.lists(_text(_values), max_size=1)).map(
+    lambda t: ["bounds", *t[:2], *t[2]]
+)
+_factor = st.tuples(
+    st.sampled_from(["squarefull", "full"]), _text(_levels),
+    _opts(("--k1", _weights), ("--k2", _weights), ("--kb", _weights),
+          ("--a1", _values), ("--a2", _values), ("--b", _values)),
+).map(lambda t: ["factor", t[0], t[1], *t[2]])
+_range = st.one_of(
+    st.tuples(st.integers(-5, 10**4), _his).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["10", "5..", "..9", "a..b", "2..2", "9..3"]),
+)
+_sweep = st.tuples(
+    _range,
+    st.lists(st.one_of(
+        st.lists(_weights, min_size=1, max_size=3).map(lambda ks: ["--k", ",".join(map(str, ks))]),
+        st.sampled_from([["--mode", "prime"], ["--mode", "squarefree"]]),
+    ), max_size=2),
+).map(lambda t: ["sweep", t[0], *[x for o in t[1] for x in o]])
+_common = st.lists(st.one_of(
+    st.just(["--json"]),
+    st.tuples(st.just("--seed"), _text(_values)).map(list),
+    st.tuples(st.just("--max-k"), _text(_weights)).map(list),
+    st.tuples(st.just("--retry-budget"), _text(st.integers(-2, 300))).map(list),
+), max_size=3).map(lambda opts: [x for o in opts for x in o])
+_argvs = st.tuples(
+    st.one_of(_dim, _test, _bounds, _factor, _sweep),
+    _common,
+    st.one_of(st.just([]), st.just([]), st.just([]), _garbage.map(lambda g: [g])),
+).map(lambda t: t[0] + t[1] + t[2])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs)
+def test_argv_fuzz_keeps_exit_code_contract(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 64), (code, argv)
+    assert "Traceback" not in err
+    if "--json" in argv and (out or code in (0, 2)):
+        json.loads(out)

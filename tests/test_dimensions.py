@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from dimfactor.arith import (
     Factorization,
     euler_phi,
     factor_trial,
+    is_probable_prime,
     kronecker_m3,
     kronecker_m4,
     weight_class,
@@ -163,6 +165,59 @@ def test_convolution_identity_wide():
         for d in range(1, limit + 1):
             summed[d::d] += dims.B12[d]
         assert np.array_equal(summed[1:], dims.A12[1:]), k
+
+
+def _divisor_sum_B(ks, f):
+    """Newform dimensions at the weights ks by Mobius inversion of the
+    representation count over the 2^omega divisors d | N with N/d
+    squarefree (each prime keeps exponent e or drops to e - 1): the
+    independent oracle for the product formula of dim_B."""
+    totals = dict.fromkeys(ks, 0)
+    for combo in product(*[((p, e), (p, e - 1)) for p, e in f]):
+        dropped = sum(1 for (_, e), (_, e0) in zip(combo, f) if e < e0)
+        d = Factorization(tuple((p, e) for p, e in combo if e > 0))
+        for k in ks:
+            totals[k] += (-1) ** dropped * dim_A(k, d)
+    return totals
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _random_factorization(rng, omega: int, bound: int = 1 << 64) -> Factorization:
+    """Up to omega distinct prime powers with product below bound; half
+    the primes small (so 2^e and 3^e turn up often), half up to 2^32."""
+    chosen, n = {}, 1
+    for _ in range(200):
+        if len(chosen) == omega:
+            break
+        if rng.random() < 0.5:
+            p = rng.choice(_SMALL_PRIMES)
+        else:
+            p = rng.randrange(1 << rng.randint(7, 31), 1 << 32) | 1
+            while not is_probable_prime(p):
+                p += 2
+        e = rng.choice((1, 1, 1, 2, 2, 3, 4, 7))
+        if p not in chosen and n * p**e < bound:
+            chosen[p] = e
+            n *= p**e
+    return Factorization(tuple(sorted(chosen.items())))
+
+
+def test_dim_B_matches_divisor_sum_oracle(rng):
+    ks = (2, 4, 6, 12, 14, 26)
+    # every 2^a 3^b q^c with small exponents, where nu2# and nu3# differ
+    # from zero, then random levels below 2^64 with up to eight primes
+    cases = [
+        Factorization(tuple((p, e) for p, e in ((2, a), (3, b), (q, c)) if e))
+        for a in range(6) for b in range(6) for q in (5, 7, 11, 13) for c in range(3)
+    ]
+    cases += [_random_factorization(rng, omega=1 + i % 8) for i in range(120)]
+    assert {len(f) for f in cases} >= set(range(9))
+    for f in cases:
+        want = _divisor_sum_B(ks, f)
+        for k in ks:
+            assert dim_B(k, f) == want[k], (k, f.factors)
 
 
 @pytest.mark.parametrize(

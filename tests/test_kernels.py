@@ -63,6 +63,47 @@ def test_dimension_tables_match_exact_path(np_tables, k):
         assert Fraction(int(dims.H12[n]), 12) == dim_H(k, n)
 
 
+def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables):
+    # the sharp sieve against the reference inversion, for every n <= LIMIT
+    t, sharp = np_tables, np_tables.sharp
+    assert (sharp.lo, sharp.hi) == (0, LIMIT)
+    for star, got in ((t.ns0, sharp.x), (t.nu_inf, sharp.w), (t.nu2, sharp.y), (t.nu3, sharp.z)):
+        assert np.array_equal(got, kernels.mobius_invert(star, t.mu))
+    unit = np.zeros(LIMIT + 1, dtype=np.int64)
+    unit[1] = 1
+    assert np.array_equal(sharp.mu, kernels.mobius_invert(unit, t.mu))
+    assert np.array_equal(sharp.mu, t.mu)
+    idx = np.arange(LIMIT + 1)
+    assert np.array_equal(sharp.prime, (t.spf == idx) & (idx >= 2))
+
+
+def _sharp_rows(sharp):
+    return (sharp.x, sharp.w, sharp.y, sharp.z, sharp.mu, sharp.prime)
+
+
+@pytest.mark.parametrize("block", [1000, 4099, 1 << 16])
+def test_sharp_windows_match_whole_range(monkeypatch, block):
+    # Window slices equal the whole-range values whatever the block size,
+    # also when neither the window nor its start lines up with a block.
+    hi = 150_001
+    monkeypatch.setattr(kernels, "SIEVE_BLOCK", hi + 1)
+    whole = kernels.build_sharp_tables(0, hi)
+    monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
+    for lo_w, hi_w in [(0, hi), (2, hi), (2, 2), (2, min(3 * block + 7, hi)), (1, 1), (0, 5),
+                       (block - 1, block + 1), (65_535, 131_073), (149_000, hi)]:
+        win = kernels.build_sharp_tables(lo_w, hi_w)
+        assert (win.lo, win.hi) == (lo_w, hi_w)
+        for got, want in zip(_sharp_rows(win), _sharp_rows(whole)):
+            assert np.array_equal(got, want[lo_w : hi_w + 1]), (lo_w, hi_w)
+
+
+def test_sharp_tables_reject_bad_range():
+    with pytest.raises(ValueError):
+        kernels.build_sharp_tables(5, 4)
+    with pytest.raises(ValueError):
+        kernels.build_sharp_tables(-1, 4)
+
+
 def test_dimension_tables_all_multiples_of_twelve(np_tables):
     dims = kernels.dimension_tables(4, np_tables)
     assert not np.any(dims.A12[1:] % 12)
