@@ -2,8 +2,11 @@
 
 Subcommands: dim, test, bounds, factor, sweep.  Results go to stdout
 (plain text or --json), diagnostics to stderr.  Exit codes: 0 for
-success or a determinate verdict, 1 for operational failures, 2 for an
-exception-case verdict, 64 for usage errors.
+success or a determinate verdict, 1 for operational failures and for
+suspicious verdicts, 2 for an exception-case verdict, 64 for usage
+errors.  A verdict is suspicious when the oracle value is one no
+truthful oracle gives; it is still printed, with ``suspicious`` set in
+the JSON and a ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -231,6 +234,8 @@ def _cmd_test(args) -> int:
         compared[0]: _json_value(lhs), compared[1]: rhs,
     }
     _emit(args, lines, payload)
+    if verdict.suspicious:
+        return EXIT_FAILURE
     return EXIT_EXCEPTION_CASE if verdict.conclusion == EXCEPTION else EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """The dimension oracle: exact counts of automorphic representations and
-newform dimensions, plus the derived sharp multiplicative values at prime
+newform dimensions, plus the sharp multiplicative values at prime
 powers.
 
 Two kinds of quantity live here.  ``dim_G`` and ``dim_H`` take a bare
@@ -20,6 +20,7 @@ from functools import lru_cache
 from .arith import (
     Factorization,
     factor_trial,
+    is_probable_prime,
     kronecker_m3,
     kronecker_m4,
     weight_class,
@@ -145,12 +146,6 @@ def dim_B(k: int, f: Factorization) -> int:
 
 # --- sharp values at prime powers --------------------------------------
 
-# Weights used to extract the sharp multiplicative values from newform
-# dimensions at a prime power.  14 and 26 share both Kronecker
-# coefficients, so their difference isolates the leading term, and none
-# of the four weights is 2, so the Mobius term drops out.
-_EXTRACTION_WEIGHTS = (12, 14, 16, 26)
-
 
 @dataclass(frozen=True)
 class SharpPrimePowerValues:
@@ -165,48 +160,14 @@ class SharpPrimePowerValues:
     z: int
 
 
-def _as_int(val: Fraction, what: str) -> int:
-    if val.denominator != 1:
-        raise InternalInconsistencyError(f"{what} = {val} is not an integer")
-    return int(val)
-
-
 @lru_cache(maxsize=4096)
 def sharp_values_at_prime_power(p: int, e: int) -> SharpPrimePowerValues:
-    """Solve for the sharp multiplicative values at p^e from newform
-    dimensions at the four extraction weights.
-
-    The system is triangular: B(26)-B(14) gives x, then w, y, z follow.
-    All four solutions must be integral, and at e = 1 they must agree
-    with the known prime values (x = p-1, w = 0, y = (-4|p)-1,
-    z = (-3|p)-1).
-    """
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    f = Factorization(((p, e),))
-    b12, b14, b16, b26 = (dim_B(k, f) for k in _EXTRACTION_WEIGHTS)
-    x = b26 - b14
-    w = 2 * x - b12 - b14
-    y = _as_int(4 * (b16 - Fraction(5, 4) * x + Fraction(w, 2)), f"nu2#({p}^{e})")
-    z = _as_int(
-        3 * (b12 - Fraction(11, 12) * x + Fraction(w, 2) - Fraction(y, 4)),
-        f"nu3#({p}^{e})",
-    )
-    if y not in (0, 1, -1, 2, -2) or z not in (0, 1, -1, 2, -2):
-        raise InternalInconsistencyError(
-            f"sharp Kronecker values at {p}^{e} out of range: y={y}, z={z}"
-        )
-    if e == 1:
-        ok = (
-            x == p - 1
-            and w == 0
-            and y == kronecker_m4(p) - 1
-            and z == kronecker_m3(p) - 1
-        )
-        if not ok:
-            raise InternalInconsistencyError(
-                f"sharp values at prime {p} disagree with the known closed forms"
-            )
+    """The sharp multiplicative values at the prime power p^e (e >= 1):
+    the local factors :func:`~dimfactor.multfuncs.sharp_local` that
+    :func:`dim_B` multiplies over the prime powers of N."""
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    x, w, y, z, _ = sharp_local(p, e)
     return SharpPrimePowerValues(p=p, e=e, x=x, w=w, y=y, z=z)
 
 

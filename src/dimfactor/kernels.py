@@ -5,21 +5,20 @@ keeps the arithmetic exact for every range a sweep accepts: the largest
 intermediate is about (k - 1) * hi, which the sweeps keep below 2^62
 (levels up to ``sweeps.MAX_SWEEP_HI`` = 10^7).
 
-Two sieves feed the tables:
+One blocked sieve (:func:`_multiplicative_rows`) fills both table
+families over any window lo..hi, by multiplying the local factors of
+:mod:`~dimfactor.multfuncs` along each level's prime factors:
 
-* the star sieve (:func:`build_star_tables`) gives the smallest prime
-  factor, the four starred functions and the Mobius function over
-  0..limit, from which the representation count A is one linear
-  combination per weight.  It has a numba-jitted and a pure-numpy
-  implementation; the environment variable DIMFACTOR_KERNELS ("numba" or
-  "numpy") chooses, otherwise numba is used when importable.
-* the sharp sieve (:func:`build_sharp_tables`) gives the four sharp
-  functions f# (the Mobius inverses of the starred ones) and mu over any
-  window lo..hi, in blocks, by multiplying the local factors of
-  :func:`~dimfactor.multfuncs.sharp_local` along each level's prime
-  factors.  The newform count B is the same linear combination of them,
-  so no Mobius inversion runs on any sweep; :func:`mobius_invert` stays
-  as the reference the tests check the sharp sieve against.
+* the star tables (:func:`build_star_tables`): the four starred
+  functions of :func:`~dimfactor.multfuncs.star_local` and the Mobius
+  function.  The representation count A is one linear combination of
+  them per weight.
+* the sharp tables (:func:`build_sharp_tables`): the four sharp
+  functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
+  inverses of the starred ones), mu, and primality.  The newform count B
+  is the same linear combination of them, so no Mobius inversion runs on
+  any sweep; :func:`mobius_invert` stays as the reference the tests
+  check the sharp sieve against.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
@@ -28,200 +27,20 @@ this module; cross-validation of the two lives in the test suite.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .multfuncs import sharp_local
-
-_ENV_CHOICE = os.environ.get("DIMFACTOR_KERNELS", "auto").strip().lower()
-
-HAVE_NUMBA = False
-if _ENV_CHOICE != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _ENV_CHOICE == "numba":
-            raise
-
-USING_NUMBA = HAVE_NUMBA
+from .multfuncs import sharp_local, star_local
 
 _KRON4 = np.array([0, 1, 0, -1], dtype=np.int64)
 _KRON3 = np.array([0, 1, -1], dtype=np.int64)
 
 
-# --- numba path ---------------------------------------------------------
+# --- the sieve -----------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _spf_sieve_nb(limit):
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                for j in range(i, limit + 1, i):
-                    if spf[j] == 0:
-                        spf[j] = i
-        return spf
-
-    @njit(cache=True)
-    def _star_tables_nb(limit):
-        spf = _spf_sieve_nb(limit)
-        ns0 = np.zeros(limit + 1, dtype=np.int64)
-        nu_inf = np.zeros(limit + 1, dtype=np.int64)
-        nu2 = np.zeros(limit + 1, dtype=np.int64)
-        nu3 = np.zeros(limit + 1, dtype=np.int64)
-        mu = np.zeros(limit + 1, dtype=np.int64)
-        if limit >= 1:
-            ns0[1] = 1
-            nu_inf[1] = 1
-            mu[1] = 1
-            nu2[1] = 1
-            nu3[1] = 1
-        for n in range(2, limit + 1):
-            m = n
-            ns0_v = np.int64(1)
-            nuinf_v = np.int64(1)
-            omega = 0
-            squarefree = True
-            while m > 1:
-                p = spf[m]
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                omega += 1
-                pe = np.int64(1)
-                for _ in range(e):
-                    pe *= p
-                if e >= 2:
-                    squarefree = False
-                    ns0_v *= pe - pe // (p * p)
-                    t = np.int64(p - 1)
-                    for _ in range((e - 2) // 2):
-                        t *= p
-                    nuinf_v *= t
-                else:
-                    ns0_v *= pe
-            ns0[n] = ns0_v
-            nu_inf[n] = nuinf_v
-            if squarefree:
-                mu[n] = 1 if omega % 2 == 0 else -1
-                r4 = n % 4
-                nu2[n] = 1 if r4 == 1 else (-1 if r4 == 3 else 0)
-                r3 = n % 3
-                nu3[n] = 1 if r3 == 1 else (-1 if r3 == 2 else 0)
-        # twisted values at non-squarefree levels
-        for n in range(4, limit + 1, 4):
-            if mu[n] == 0 and mu[n // 4] != 0:
-                q = n // 4
-                r4 = q % 4
-                nu2[n] = -(1 if r4 == 1 else (-1 if r4 == 3 else 0))
-        for n in range(9, limit + 1, 9):
-            if mu[n] == 0 and mu[n // 9] != 0:
-                q = n // 9
-                r3 = q % 3
-                nu3[n] = -(1 if r3 == 1 else (-1 if r3 == 2 else 0))
-        return spf, ns0, nu_inf, nu2, nu3, mu
-
-    @njit(cache=True)
-    def _mobius_invert_nb(values, mu):
-        limit = len(values) - 1
-        out = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            v = values[d]
-            if v == 0:
-                continue
-            j = 1
-            for m in range(d, limit + 1, d):
-                if mu[j] != 0:
-                    out[m] += mu[j] * v
-                j += 1
-        return out
-
-
-# --- numpy fallback ------------------------------------------------------
-
-
-def _spf_sieve_np(limit: int) -> np.ndarray:
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for i in range(2, int(limit**0.5) + 1):
-        if spf[i] == i:
-            sl = spf[i * i :: i]
-            np.minimum(sl, i, out=sl)
-    if limit >= 0:
-        spf[0] = 0
-    if limit >= 1:
-        spf[1] = 0
-    return spf
-
-
-def _star_tables_np(limit: int):
-    spf = _spf_sieve_np(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    ns0 = idx.copy()
-    nu_inf = np.ones(limit + 1, dtype=np.int64)
-    mu = np.ones(limit + 1, dtype=np.int64)
-    if limit >= 0:
-        nu_inf[0] = 0
-        mu[0] = 0
-
-    primes = np.flatnonzero((spf == idx) & (idx >= 2))
-    for p in primes:
-        p = int(p)
-        mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
-
-    for p in primes:
-        p = int(p)
-        if p * p > limit:
-            break
-        e, pe = 2, p * p
-        while pe <= limit:
-            # levels with p-exponent exactly e
-            hits = np.arange(pe, limit + 1, pe, dtype=np.int64)
-            hits = hits[(hits // pe) % p != 0]
-            ns0[hits] = ns0[hits] // pe * (pe - pe // (p * p))
-            nu_inf[hits] *= (p - 1) * p ** ((e - 2) // 2)
-            e += 1
-            pe *= p
-
-    squarefree = mu != 0
-    nu2 = np.where(squarefree, _KRON4[idx % 4], 0)
-    nu3 = np.where(squarefree, _KRON3[idx % 3], 0)
-    if limit >= 4:
-        m4 = np.arange(4, limit + 1, 4, dtype=np.int64)
-        q = m4 // 4
-        nu2[m4] = np.where(squarefree[q], -_KRON4[q % 4], 0)
-    if limit >= 9:
-        m9 = np.arange(9, limit + 1, 9, dtype=np.int64)
-        q = m9 // 9
-        nu3[m9] = np.where(squarefree[q], -_KRON3[q % 3], 0)
-    if limit >= 1:
-        nu2[1] = 1
-        nu3[1] = 1
-    return spf, ns0, nu_inf, nu2, nu3, mu
-
-
-def _mobius_invert_np(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    limit = len(values) - 1
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        v = int(values[d])
-        if v == 0:
-            continue
-        out[d::d] += v * mu[1 : limit // d + 1]
-    return out
-
-
-# --- sharp sieve ---------------------------------------------------------
-
-SIEVE_BLOCK = 1 << 16  # levels per block of the sharp sieve
+SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
 
 
 def _primes_upto(limit: int) -> np.ndarray:
@@ -233,16 +52,30 @@ def _primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
+def _star_mu_local(p: int, e: int) -> tuple[int, int, int, int, int]:
+    """star_local(p, e) followed by mu(p^e), for e >= 1."""
+    return (*star_local(p, e), -1 if e == 1 else 0)
+
+
+def _star_at_primes(q: np.ndarray) -> np.ndarray:
+    """_star_mu_local(q, 1) for an array of primes q, one column each."""
+    return np.stack((q, np.ones_like(q), _KRON4[q % 4], _KRON3[q % 3], np.full_like(q, -1)))
+
+
+# sharp_local(q, 1) is star_local(q, 1) - star_local(q, 0), with the same mu
+_STAR_AT_P0 = np.array([[1], [1], [1], [1], [0]], dtype=np.int64)
+
+
 def _sharp_at_primes(q: np.ndarray) -> np.ndarray:
     """sharp_local(q, 1) for an array of primes q, one column each."""
-    return np.stack(
-        (q - 1, np.zeros_like(q), _KRON4[q % 4] - 1, _KRON3[q % 3] - 1, np.full_like(q, -1))
-    )
+    return _star_at_primes(q) - _STAR_AT_P0
 
 
-def _sharp_products(lo: int, hi: int):
-    """Rows N*s0#, nu_inf#, nu2#, nu3#, mu over levels lo..hi, and the
-    primality of each level.
+def _multiplicative_rows(lo: int, hi: int, local, at_primes):
+    """Five multiplicative functions over levels lo..hi, given by their
+    local factors ``local(p, e)`` (a 5-tuple, e >= 1) and, for an array of
+    primes q, ``at_primes(q)`` = the columns local(q, 1); also the
+    primality of each level.  Level 0 reads 0 in every row.
 
     Each block of SIEVE_BLOCK levels walks the primes p <= sqrt(hi) in
     increasing order: the exact power of p in every multiple is read off
@@ -250,13 +83,15 @@ def _sharp_products(lo: int, hi: int):
     factor multiplied in from a table built once per prime power.  What
     is left above 1 is the one prime factor above sqrt(hi).
     """
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
     small = _primes_upto(math.isqrt(hi)).tolist()
     factors = []  # ([p^0, p^1, ...], the same as an array, local factor rows by exponent)
     for p in small:
         pows = [1]
         while pows[-1] * p <= hi:
             pows.append(pows[-1] * p)
-        rows = [(1,) * 5] + [sharp_local(p, e) for e in range(1, len(pows))]
+        rows = [(1,) * 5] + [local(p, e) for e in range(1, len(pows))]
         factors.append((pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64)))
     out = np.ones((5, hi - lo + 1), dtype=np.int64)
     prime = np.zeros(hi - lo + 1, dtype=bool)
@@ -282,7 +117,7 @@ def _sharp_products(lo: int, hi: int):
             rem[first::p] //= pow_arr[e_at]
             acc[:, first::p] *= rows[e_at].T
         rest = np.flatnonzero(rem > 1)
-        acc[:, rest] *= _sharp_at_primes(rem[rest])
+        acc[:, rest] *= at_primes(rem[rest])
         prime[a - lo : a - lo + size] = (rem == levels) & (levels >= 2)
     for p in small:
         if lo <= p <= hi:
@@ -309,25 +144,20 @@ class SharpTables:
 def build_sharp_tables(lo: int, hi: int) -> SharpTables:
     """Sieve the sharp functions over levels lo..hi, in blocks, without
     touching any level below lo."""
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
-    rows, prime = _sharp_products(lo, hi)
+    rows, prime = _multiplicative_rows(lo, hi, sharp_local, _sharp_at_primes)
     x, w, y, z, mu = rows
     return SharpTables(lo=lo, hi=hi, x=x, w=w, y=y, z=z, mu=mu, prime=prime)
 
 
-# --- public surface -------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class StarTables:
-    """Sieve output over levels 0..limit: smallest prime factors, the
-    integer N*s0*(N), the three other starred values, and the Mobius
+    """Star sieve output over levels lo..hi (index i is level lo + i):
+    the integer N*s0*(N), the three other starred values, and the Mobius
     function.  ``sharp`` holds the sharp tables over the same levels,
     sieved on first use."""
 
-    limit: int
-    spf: np.ndarray
+    lo: int
+    hi: int
     ns0: np.ndarray
     nu_inf: np.ndarray
     nu2: np.ndarray
@@ -336,45 +166,37 @@ class StarTables:
 
     @cached_property
     def sharp(self) -> SharpTables:
-        return build_sharp_tables(0, self.limit)
+        return build_sharp_tables(self.lo, self.hi)
 
 
-def build_star_tables(limit: int, force: str | None = None) -> StarTables:
-    """Sieve all multiplicative data up to ``limit``.
-
-    ``force`` overrides the module-level path selection ("numba" or
-    "numpy"); tests and the benchmark use it to compare both.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    use_numba = USING_NUMBA if force is None else force == "numba"
-    if use_numba and not HAVE_NUMBA:
-        raise RuntimeError("numba path requested but numba is unavailable")
-    fn = _star_tables_nb if use_numba else _star_tables_np
-    spf, ns0, nu_inf, nu2, nu3, mu = fn(limit)
-    return StarTables(limit=limit, spf=spf, ns0=ns0, nu_inf=nu_inf, nu2=nu2, nu3=nu3, mu=mu)
+def build_star_tables(lo: int, hi: int) -> StarTables:
+    """Sieve the starred functions and mu over levels lo..hi, in blocks,
+    without touching any level below lo."""
+    rows, _ = _multiplicative_rows(lo, hi, _star_mu_local, _star_at_primes)
+    ns0, nu_inf, nu2, nu3, mu = rows
+    return StarTables(lo=lo, hi=hi, ns0=ns0, nu_inf=nu_inf, nu2=nu2, nu3=nu3, mu=mu)
 
 
 @lru_cache(maxsize=4)
 def star_tables(limit: int) -> StarTables:
-    """Cached :func:`build_star_tables` on the default path."""
-    return build_star_tables(limit)
+    """Cached star tables over levels 0..limit."""
+    return build_star_tables(0, limit)
 
 
-def mobius_invert(values: np.ndarray, mu: np.ndarray, force: str | None = None) -> np.ndarray:
-    """out[n] = sum over d | n of mu(n/d) * values[d], for all n at once.
+def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """out[n] = sum over d | n of mu(n/d) * values[d], for all n at once,
+    with both tables indexed from level 0.
 
     No sweep uses it: it is the reference the sharp sieve is tested
     against."""
-    use_numba = USING_NUMBA if force is None else force == "numba"
-    if use_numba and not HAVE_NUMBA:
-        raise RuntimeError("numba path requested but numba is unavailable")
-    if use_numba:
-        return _mobius_invert_nb(
-            np.ascontiguousarray(values, dtype=np.int64),
-            np.ascontiguousarray(mu, dtype=np.int64),
-        )
-    return _mobius_invert_np(values, mu)
+    limit = len(values) - 1
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        v = int(values[d])
+        if v == 0:
+            continue
+        out[d::d] += v * mu[1 : limit // d + 1]
+    return out
 
 
 def _twelve_c2(k: int) -> int:
@@ -408,10 +230,10 @@ def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
 
 
 def twelve_A(k: int, tables: StarTables, lo: int, hi: int) -> np.ndarray:
-    """12 * A(k, N) for levels lo..hi from the starred tables.  The
+    """12 * A(k, N) for levels lo..hi inside the star tables' range.  The
     closed formula holds from level 2 on (level 1 lacks the delta2 term
     that :func:`dimension_tables` adds)."""
-    sl = slice(lo, hi + 1)
+    sl = slice(lo - tables.lo, hi - tables.lo + 1)
     return _combine(k, tables.ns0[sl], tables.nu_inf[sl], tables.nu2[sl], tables.nu3[sl])
 
 
@@ -439,18 +261,17 @@ class DimensionTables:
     H12: np.ndarray
 
 
-def dimension_tables(k: int, tables: StarTables, force: str | None = None) -> DimensionTables:
-    """All four dimension quantities (times 12) at weight k from the
-    sieved star tables and their sharp tables.  Index 1 of A12/B12
+def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
+    """All four dimension quantities (times 12) at weight k from star
+    tables over 0..limit and their sharp tables.  Index 1 of A12/B12
     carries the level-one dimension so the divisor-sum identity holds
     across the whole range.
-
-    ``force`` has no effect: the star tables are already sieved, and the
-    sharp sieve has a single implementation.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"weight must be a positive even integer, got {k}")
-    limit = tables.limit
+    if tables.lo != 0 or tables.hi < 1:
+        raise ValueError(f"dimension tables need levels 0..limit, got [{tables.lo}, {tables.hi}]")
+    limit = tables.hi
     b1_12 = level_one_twelve(k)
     G12 = twelve_G(k, np.arange(limit + 1, dtype=np.int64))
     A12 = twelve_A(k, tables, 0, limit)

@@ -3,9 +3,10 @@
 A sweep compares the sign pattern of the closed-form-vs-oracle gap over a
 whole level range with what the squarefree and primality
 characterizations predict, using the exact integer kernel tables: the
-starred tables in squarefree mode, the sharp tables of the window alone
-in primality mode.  Violations must be empty; the catalogued exception
-pairs are reported separately.
+starred tables in squarefree mode, the sharp tables in primality mode,
+each sieved over the window alone unless tables are passed in.
+Violations must be empty; the catalogued exception pairs are reported
+separately.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .kernels import (
     SharpTables,
     StarTables,
     build_sharp_tables,
+    build_star_tables,
     level_one_twelve,
-    star_tables,
     twelve_A,
     twelve_B,
     twelve_G,
@@ -70,12 +71,13 @@ def trichotomy_sweep(
 ) -> SweepReport:
     """Check sign(G - A) against the squarefree trichotomy for every
     level in [lo, hi] and every weight in ks.  Only the representation
-    count is computed; the newform count plays no part here."""
+    count is computed; the newform count plays no part here.  Without
+    ``tables`` only the window is sieved."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    tables = tables if tables is not None else star_tables(hi)
+    tables = tables if tables is not None else build_star_tables(lo, hi)
     idx = np.arange(lo, hi + 1, dtype=np.int64)
-    squarefree = tables.mu[lo : hi + 1] != 0
+    squarefree = tables.mu[lo - tables.lo : hi - tables.lo + 1] != 0
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
         got = _signs(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))

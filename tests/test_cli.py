@@ -46,13 +46,38 @@ def test_test_command(capsys):
     assert code == 0 and out.startswith("PRIME")
     code, out, _ = run_cli(capsys, "test", "squarefree", "2", "4")
     assert code == 2 and out.startswith("EXCEPTION")
-    # explicit oracle value wins over the default oracle
+    # explicit oracle value wins over the default oracle; an impossible one
+    # still prints its verdict, but exits 1
     code, out, err = run_cli(capsys, "test", "squarefree", "2", "100", "999")
-    assert code == 0 and out.startswith("NOT_SQUAREFREE")
+    assert code == 1 and out.startswith("NOT_SQUAREFREE")
     assert "warning" in err
     code, out, _ = run_cli(capsys, "test", "prime", "2", "91", "--json")
     payload = json.loads(out)
     assert payload["conclusion"] == "EXCEPTION" and code == 2
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, conclusion, code",
+    [
+        (["test", "prime", "2", "97", "100000"], "COMPOSITE", 1),
+        (["test", "squarefree", "2", "12", "3"], "NOT_SQUAREFREE", 1),
+        (["test", "prime", "2", "97", "7"], "PRIME", 0),
+    ],
+    ids=["prime-impossible", "squarefree-impossible", "prime-truthful"],
+)
+def test_suspicious_verdicts_exit_failure(capsys, argv, conclusion, code, json_flag):
+    # an oracle value no truthful oracle gives keeps its verdict on stdout,
+    # is flagged on stderr and in the JSON, and exits 1
+    got, out, err = run_cli(capsys, *argv, *json_flag)
+    assert got == code
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["conclusion"] == conclusion
+        assert (payload["suspicious"] is not None) == (code == 1)
+    else:
+        assert out.startswith(conclusion)
+    assert err.startswith("warning:") if code == 1 else err == ""
 
 
 def test_bounds_command(capsys):
@@ -135,7 +160,7 @@ def test_sweep_cap(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("the sweep must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "star_tables", refuse)
+    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
     monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
     for mode in ("squarefree", "prime"):
         code, out, err = run_cli(capsys, "sweep", f"2..{MAX_SWEEP_HI + 1}", "--mode", mode)

@@ -269,6 +269,9 @@ def test_sharp_values_at_prime_powers_bounded():
             assert sv.y in (-2, -1, 0, 1, 2)
             assert sv.z in (-2, -1, 0, 1, 2)
             assert sv.x >= 0
+    for p, e in ((4, 1), (15, 2), (1, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            sharp_values_at_prime_power(p, e)
 
 
 def test_squarefree_closed_forms():

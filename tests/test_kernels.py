@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,34 +7,23 @@ from dimfactor import kernels
 from dimfactor.arith import factor_trial
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
+from dimfactor.sweeps import primality_sweep, trichotomy_sweep
 
 LIMIT = 20_000
 
 
 @pytest.fixture(scope="module")
 def np_tables():
-    return kernels.build_star_tables(LIMIT, force="numpy")
+    return kernels.build_star_tables(0, LIMIT)
 
 
-@pytest.fixture(scope="module")
-def nb_tables():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    return kernels.build_star_tables(LIMIT, force="numba")
-
-
-def test_paths_agree(np_tables, nb_tables):
-    for name in ("spf", "ns0", "nu_inf", "nu2", "nu3", "mu"):
-        assert np.array_equal(getattr(np_tables, name), getattr(nb_tables, name)), name
-
-
-def test_mobius_invert_paths_agree(np_tables):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rngv = np.arange(LIMIT + 1, dtype=np.int64) * 7 - 3
-    a = kernels.mobius_invert(rngv, np_tables.mu, force="numpy")
-    b = kernels.mobius_invert(rngv, np_tables.mu, force="numba")
-    assert np.array_equal(a, b)
+def _sieve_primes(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return [i for i, f in enumerate(flags) if f]
 
 
 def test_star_tables_match_exact_path(np_tables):
@@ -49,7 +35,36 @@ def test_star_tables_match_exact_path(np_tables):
         assert t.nu2[n] == nu2_star(f)
         assert t.nu3[n] == nu3_star(f)
         assert t.mu[n] == f.mobius()
-        assert t.spf[n] == (f.factors[0][0] if f.factors else 0)
+
+
+def test_star_tables_match_definitions(np_tables):
+    # every n <= LIMIT against the definitions in the multfuncs docstrings,
+    # computed here without the local factors the sieve reads
+    n = np.arange(LIMIT + 1, dtype=np.int64)
+    primes = set(_sieve_primes(LIMIT))
+    mu = np.ones(LIMIT + 1, dtype=np.int64)
+    mu[0] = 0
+    phi = n.copy()
+    for p in primes:
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        phi[p::p] -= phi[p::p] // p
+    ns0 = n.copy()
+    root = np.ones(LIMIT + 1, dtype=np.int64)  # largest D with D^2 | n
+    for d in range(2, int(LIMIT**0.5) + 1):
+        root[d * d :: d * d] = d
+        if d in primes:
+            ns0[d * d :: d * d] = ns0[d * d :: d * d] // (d * d) * (d * d - 1)
+    sf = mu != 0
+    kron4, kron3 = np.array([0, 1, 0, -1]), np.array([0, 1, -1])
+    nu2 = np.where(sf, kron4[n % 4], 0)
+    nu3 = np.where(sf, kron3[n % 3], 0)
+    nu2[4::4] = np.where(sf[1 : LIMIT // 4 + 1], -kron4[n[1 : LIMIT // 4 + 1] % 4], 0)
+    nu3[9::9] = np.where(sf[1 : LIMIT // 9 + 1], -kron3[n[1 : LIMIT // 9 + 1] % 3], 0)
+    nu_inf = phi[root]
+    nu_inf[0] = 0
+    for name, want in (("ns0", ns0), ("nu_inf", nu_inf), ("nu2", nu2), ("nu3", nu3), ("mu", mu)):
+        assert np.array_equal(getattr(np_tables, name), want), name
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 12, 14, 16, 26])
@@ -73,35 +88,42 @@ def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables):
     unit[1] = 1
     assert np.array_equal(sharp.mu, kernels.mobius_invert(unit, t.mu))
     assert np.array_equal(sharp.mu, t.mu)
-    idx = np.arange(LIMIT + 1)
-    assert np.array_equal(sharp.prime, (t.spf == idx) & (idx >= 2))
+    prime = np.zeros(LIMIT + 1, dtype=bool)
+    prime[_sieve_primes(LIMIT)] = True
+    assert np.array_equal(sharp.prime, prime)
 
 
-def _sharp_rows(sharp):
-    return (sharp.x, sharp.w, sharp.y, sharp.z, sharp.mu, sharp.prime)
+_BUILDERS = (kernels.build_sharp_tables, kernels.build_star_tables)
+
+
+def _rows(tables):
+    return [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
 
 
 @pytest.mark.parametrize("block", [1000, 4099, 1 << 16])
 def test_sharp_windows_match_whole_range(monkeypatch, block):
     # Window slices equal the whole-range values whatever the block size,
-    # also when neither the window nor its start lines up with a block.
+    # also when neither the window nor its start lines up with a block;
+    # for both builders of the one sieve.
     hi = 150_001
-    monkeypatch.setattr(kernels, "SIEVE_BLOCK", hi + 1)
-    whole = kernels.build_sharp_tables(0, hi)
-    monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
-    for lo_w, hi_w in [(0, hi), (2, hi), (2, 2), (2, min(3 * block + 7, hi)), (1, 1), (0, 5),
-                       (block - 1, block + 1), (65_535, 131_073), (149_000, hi)]:
-        win = kernels.build_sharp_tables(lo_w, hi_w)
-        assert (win.lo, win.hi) == (lo_w, hi_w)
-        for got, want in zip(_sharp_rows(win), _sharp_rows(whole)):
-            assert np.array_equal(got, want[lo_w : hi_w + 1]), (lo_w, hi_w)
+    for build in _BUILDERS:
+        monkeypatch.setattr(kernels, "SIEVE_BLOCK", hi + 1)
+        whole = build(0, hi)
+        monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
+        for lo_w, hi_w in [(0, hi), (2, hi), (2, 2), (2, min(3 * block + 7, hi)), (1, 1), (0, 5),
+                           (block - 1, block + 1), (65_535, 131_073), (149_000, hi)]:
+            win = build(lo_w, hi_w)
+            assert (win.lo, win.hi) == (lo_w, hi_w)
+            for got, want in zip(_rows(win), _rows(whole), strict=True):
+                assert np.array_equal(got, want[lo_w : hi_w + 1]), (build.__name__, lo_w, hi_w)
 
 
 def test_sharp_tables_reject_bad_range():
-    with pytest.raises(ValueError):
-        kernels.build_sharp_tables(5, 4)
-    with pytest.raises(ValueError):
-        kernels.build_sharp_tables(-1, 4)
+    for build in _BUILDERS:
+        with pytest.raises(ValueError):
+            build(5, 4)
+        with pytest.raises(ValueError):
+            build(-1, 4)
 
 
 def test_dimension_tables_all_multiples_of_twelve(np_tables):
@@ -110,18 +132,19 @@ def test_dimension_tables_all_multiples_of_twelve(np_tables):
     assert not np.any(dims.B12[1:] % 12)
 
 
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ, DIMFACTOR_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from dimfactor import kernels; print(kernels.USING_NUMBA)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+def test_dimension_tables_need_levels_from_zero():
+    for lo, hi in [(2, 100), (0, 0)]:
+        with pytest.raises(ValueError):
+            kernels.dimension_tables(2, kernels.build_star_tables(lo, hi))
 
 
-def test_build_rejects_bad_limit():
-    with pytest.raises(ValueError):
-        kernels.build_star_tables(0)
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
+def test_window_sweeps_match_whole_range_tables(np_tables, sweep):
+    # a sweep that sieves its window alone reports what one reading the
+    # whole-range tables reports
+    for lo, hi in [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]:
+        got, want = sweep(lo, hi, (2, 4, 12)), sweep(lo, hi, (2, 4, 12), np_tables)
+        assert (got.checked, got.violations, got.exceptions_observed) == (
+            want.checked, want.violations, want.exceptions_observed
+        ), (lo, hi)
+        assert got.checked == 3 * (hi - lo + 1)
