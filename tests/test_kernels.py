@@ -119,11 +119,17 @@ def test_sharp_windows_match_whole_range(monkeypatch, block):
 
 
 def test_sharp_tables_reject_bad_range():
-    for build in _BUILDERS:
-        with pytest.raises(ValueError):
-            build(5, 4)
-        with pytest.raises(ValueError):
-            build(-1, 4)
+    with pytest.raises(ValueError):
+        kernels.build_sharp_tables(5, 4)
+    with pytest.raises(ValueError):
+        kernels.build_sharp_tables(-1, 4)
+
+
+def test_build_rejects_bad_limit():
+    with pytest.raises(ValueError):
+        kernels.build_star_tables(5, 4)
+    with pytest.raises(ValueError):
+        kernels.build_star_tables(-1, 4)
 
 
 def test_dimension_tables_all_multiples_of_twelve(np_tables):
