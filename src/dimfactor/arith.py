@@ -18,6 +18,7 @@ from .errors import InvalidWeightError
 
 _KRON_M4 = (0, 1, 0, -1)  # indexed by n mod 4
 _KRON_M3 = (0, 1, -1)     # indexed by n mod 3
+_TWELVE_C3 = (4, 0, -4)   # 12 * c3(k), indexed by k mod 3
 
 
 def kronecker_m4(n: int) -> int:
@@ -36,6 +37,16 @@ def kronecker_m3(n: int) -> int:
     return _KRON_M3[n % 3]
 
 
+def twelve_weight_coefficients(k: int) -> tuple[int, int]:
+    """(12 * c2(k), 12 * c3(k)) for a positive even weight k: 12 * c2 is
+    +3 or -3 as 4 divides k or not, 12 * c3 is 4, 0 or -4 as k is 0, 1 or
+    2 mod 3.  The one definition of the weight coefficients of the closed
+    dimension formulas; it raises InvalidWeightError for any other k."""
+    if k < 2 or k % 2 != 0:
+        raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
+    return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]
+
+
 @dataclass(frozen=True)
 class WeightClass:
     """Weight-dependent coefficients of the closed dimension formulas.
@@ -52,13 +63,10 @@ class WeightClass:
 
 
 def weight_class(k: int) -> WeightClass:
-    """Coefficients (c2, c3, delta2) for a positive even weight k."""
-    if k < 2 or k % 2 != 0:
-        raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
-    c2 = Fraction(1, 4) if k % 4 == 0 else Fraction(-1, 4)
-    r = k % 3
-    c3 = Fraction(1, 3) if r == 0 else Fraction(0) if r == 1 else Fraction(-1, 3)
-    return WeightClass(k=k, c2=c2, c3=c3, delta2=1 if k == 2 else 0)
+    """Coefficients (c2, c3, delta2) for a positive even weight k, as
+    exact rationals read from :func:`twelve_weight_coefficients`."""
+    t2, t3 = twelve_weight_coefficients(k)
+    return WeightClass(k=k, c2=Fraction(t2, 12), c3=Fraction(t3, 12), delta2=1 if k == 2 else 0)
 
 
 # --- primality ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Localization of square divisors from a single oracle value.
 
-From one representation count the scaled gap T is exact rational
-arithmetic; the slowly growing factor, the arccos angle and the two
+From one representation count the scaled gap T is an exact integer,
+T0 = (k-1)N - 12a; the slowly growing factor, the arccos angle and the two
 trigonometric Cardano roots are floating point.  Containment of an
 integer candidate is always decidable exactly: the float value of the
 slowly growing factor is itself a rational number, so the cubic sign
@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import kronecker_m3, kronecker_m4, weight_class
-from .dimensions import dim_G
+from .arith import twelve_weight_coefficients
 from .errors import DomainError, InternalInconsistencyError
 
 EULER_GAMMA = 0.5772156649015329
@@ -28,27 +27,24 @@ NO_LARGE_SQUARE_DIVISOR = "NO_LARGE_SQUARE_DIVISOR"
 ROOT_MARGIN = 1e-9
 
 
-def compute_T(k: int, N: int, a_value: int) -> tuple[Fraction, Fraction]:
+def compute_T(k: int, N: int, a_value: int) -> tuple[int, int]:
     """The scaled gap T0 = 12(Delta + 1/2 - c2(-4|N) - c3(-3|N)) and its
-    shift T, both exact.
+    shift T, both exact integers.
 
-    Delta is computed as dim_G(k, N) - a_value, so no factorization of N
-    is needed.  The shift is the smallest constant that dominates the
-    twisted Kronecker terms hiding in T0, namely 3 when the weight's
-    coefficient at -3 vanishes (k ≡ 1 mod 3) and 3 + 4 = 7 otherwise;
-    this is what makes T >= (k-1)N(1 - s0*) + 6 nu_inf* hold for every
-    truthful oracle value."""
+    With Delta = dim_G(k, N) - a_value the Kronecker terms of G cancel,
+    so T0 = (k-1)N - 12a and no factorization of N is needed.  The shift
+    is the smallest constant that dominates the twisted Kronecker terms
+    hiding in T0, namely 3 when the weight's coefficient at -3 vanishes
+    (k ≡ 1 mod 3) and 3 + 4 = 7 otherwise; this is what makes
+    T >= (k-1)N(1 - s0*) + 6 nu_inf* hold for every truthful oracle
+    value."""
     if N < 2:
         raise ValueError(f"level must be >= 2, got {N}")
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
-    wc = weight_class(k)
-    delta = dim_G(k, N) - a_value
-    t0 = 12 * (
-        delta + Fraction(1, 2) - wc.c2 * kronecker_m4(N) - wc.c3 * kronecker_m3(N)
-    )
-    t = t0 + (3 if k % 3 == 1 else 7)
-    return t0, t
+    _, twelve_c3 = twelve_weight_coefficients(k)
+    t0 = (k - 1) * N - 12 * a_value
+    return t0, t0 + (3 if twelve_c3 == 0 else 7)
 
 
 def curly_L(N: int) -> float:
@@ -76,8 +72,8 @@ class BoundsReport:
 
     k: int
     n: int
-    T0: Fraction
-    T: Fraction
+    T0: int
+    T: int
     curly_L: float
     certificate: str
     theta: float | None = None
@@ -85,7 +81,7 @@ class BoundsReport:
     x0: float | None = None
 
 
-def cubic_margin(k: int, N: int, T: Fraction, L: float, x) -> Fraction:
+def cubic_margin(k: int, N: int, T: int, L: float, x) -> Fraction:
     """Exact value of -(6/L) x^3 + T x^2 - (k-1) N, treating the float L
     (and a float x, if one is passed) as the exact binary rational it is."""
     Lf = Fraction(L)
@@ -93,7 +89,7 @@ def cubic_margin(k: int, N: int, T: Fraction, L: float, x) -> Fraction:
     return -6 * xf**3 / Lf + T * xf * xf - (k - 1) * N
 
 
-def cubic_positive(k: int, N: int, T: Fraction, L: float, d: int) -> bool:
+def cubic_positive(k: int, N: int, T: int, L: float, d: int) -> bool:
     """Exact sign test: does the localization cubic take a positive value
     at the integer d?  True for every d >= 27 whose square divides N."""
     return cubic_margin(k, N, T, L, d) > 0

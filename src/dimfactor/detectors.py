@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import kronecker_m3, kronecker_m4, weight_class
-from .dimensions import dim_G, dim_H, level_one_newform_dim
+from .arith import twelve_weight_coefficients
+from .dimensions import dim_G, level_one_newform_dim, twelve_G
 from .errors import InvalidWeightError
 
 MAX_WEIGHT = 1 << 20  # public-API cap; keeps G polynomial in the input length
@@ -47,21 +47,9 @@ _PRIMES_BELOW_92 = frozenset(
 
 
 def _check_weight(k: int, max_k: int) -> None:
-    if k < 2 or k % 2 != 0:
-        raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
+    twelve_weight_coefficients(k)  # raises unless k is a positive even weight
     if k > max_k:
         raise InvalidWeightError(f"weight {k} exceeds the cap {max_k}")
-
-
-def _twelve_G(k: int, n: int) -> int:
-    """12 * dim_G(k, n) as an exact integer (fast path for comparisons)."""
-    wc = weight_class(k)
-    return (
-        (k - 1) * n
-        - 6
-        + int(12 * wc.c2) * kronecker_m4(n)
-        + int(12 * wc.c3) * kronecker_m3(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,7 @@ def squarefree_test(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> Tr
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
     _check_weight(k, max_k)
-    g12 = _twelve_G(k, N)
+    g12 = twelve_G(k, N)
     diff = g12 - 12 * a_value
     relation = EQUAL if diff == 0 else (G_GREATER if diff > 0 else G_LESS)
 
@@ -136,7 +124,7 @@ def primality_test(N: int, k: int, b_value: int, max_k: int = MAX_WEIGHT) -> Pri
     if b_value < 0:
         raise ValueError("oracle values are nonnegative")
     _check_weight(k, max_k)
-    h12 = _twelve_G(k, N) - 12 * level_one_newform_dim(k)
+    h12 = twelve_G(k, N) - 12 * level_one_newform_dim(k)
     diff = h12 - 12 * b_value
     relation = EQUAL if diff == 0 else (H_GREATER if diff > 0 else H_LESS)
 

@@ -2,8 +2,10 @@
 newform dimensions, plus the sharp multiplicative values at prime
 powers.
 
-Two kinds of quantity live here.  ``dim_G`` and ``dim_H`` take a bare
-integer level because they are computable from residues alone; ``dim_A``,
+Every count is :func:`~dimfactor.multfuncs.twelve_combination`, the
+closed form scaled by 12, at four multiplicative values (see there).
+``dim_G`` and ``dim_H`` take a bare integer level because they are
+computable from residues alone, and return exact Fractions; ``dim_A``,
 ``dim_B`` and ``dim_delta`` take a :class:`Factorization` because they
 genuinely need one.  Detectors and factoring reductions consume these
 numbers only through :class:`DimensionOracle` values, never by factoring
@@ -26,20 +28,39 @@ from .arith import (
     weight_class,
 )
 from .errors import InternalInconsistencyError
-from .multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
+from .multfuncs import (
+    nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local, star_local, twelve_combination,
+)
+
+_LEVEL_ONE = Factorization(())
+
+
+def _count(twelve: int, what: str) -> int:
+    """twelve / 12, which must be a nonnegative integer."""
+    q, r = divmod(twelve, 12)
+    if r or q < 0:
+        raise InternalInconsistencyError(
+            f"{what} = {Fraction(twelve, 12)} is not a nonnegative integer"
+        )
+    return q
 
 
 def level_one_newform_dim(k: int) -> int:
-    """B(k, 1) in closed form: (k-7)/12 + c2 + c3 + delta2.
+    """B(k, 1) = (k-7)/12 + c2 + c3 + delta2: :func:`dim_B` at level one.
 
     This is the dimension of the full cusp space at level one; it is a
     nonnegative integer for every positive even weight.
     """
-    wc = weight_class(k)
-    val = Fraction(k - 7, 12) + wc.c2 + wc.c3 + wc.delta2
-    if val.denominator != 1 or val < 0:
-        raise InternalInconsistencyError(f"level-one dimension {val} for k={k}")
-    return int(val)
+    return dim_B(k, _LEVEL_ONE)
+
+
+def twelve_G(k: int, n: int) -> int:
+    """12 * dim_G(k, n), an exact integer: the closed form at the values
+    (n, 1, (-4|n), (-3|n)) that the starred functions take on a
+    squarefree level."""
+    if n < 1:
+        raise ValueError(f"level must be positive, got {n}")
+    return twelve_combination(k, n, 1, kronecker_m4(n), kronecker_m3(n))
 
 
 def dim_G(k: int, n: int) -> Fraction:
@@ -47,15 +68,7 @@ def dim_G(k: int, n: int) -> Fraction:
 
     Computable without factoring N; the denominator always divides 12.
     """
-    if n < 1:
-        raise ValueError(f"level must be positive, got {n}")
-    wc = weight_class(k)
-    return (
-        Fraction(k - 1, 12) * n
-        - Fraction(1, 2)
-        + wc.c2 * kronecker_m4(n)
-        + wc.c3 * kronecker_m3(n)
-    )
+    return Fraction(twelve_G(k, n), 12)
 
 
 def dim_H(k: int, n: int) -> Fraction:
@@ -67,26 +80,20 @@ def dim_H(k: int, n: int) -> Fraction:
 def dim_A(k: int, f: Factorization) -> int:
     """Number of automorphic representations at weight k, level N = f.value().
 
-    Evaluates the explicit linear combination of the starred
-    multiplicative functions; the rational parts must cancel to a
-    nonnegative integer, and we insist they do.  Level 1 is defined to be
+    The closed form at the starred values N*s0*, nu_inf*, nu2*, nu3*,
+    each a product of its local factors
+    :func:`~dimfactor.multfuncs.star_local`; the result must be a
+    nonnegative integer, and we insist it is.  Level 1 is defined to be
     the level-one newform dimension so divisor sums extend to N = 1.
     """
-    n = f.value()
-    if n == 1:
+    if not f.factors:
         return level_one_newform_dim(k)
-    wc = weight_class(k)
-    val = (
-        Fraction(k - 1, 12) * n * s0_star(f)
-        - Fraction(nu_inf_star(f), 2)
-        + wc.c2 * nu2_star(f)
-        + wc.c3 * nu3_star(f)
-    )
-    if val.denominator != 1 or val < 0:
-        raise InternalInconsistencyError(
-            f"representation count A({k},{n}) = {val} is not a nonnegative integer"
-        )
-    return int(val)
+    x = w = y = z = 1
+    for p, e in f:
+        lx, lw, ly, lz = star_local(p, e)
+        x, w, y, z = x * lx, w * lw, y * ly, z * lz
+    twelve = twelve_combination(k, x, w, y, z)
+    return _count(twelve, f"representation count A({k},{f.value()})")
 
 
 def dim_delta(k: int, f: Factorization) -> Fraction:
@@ -120,28 +127,19 @@ def dim_B(k: int, f: Factorization) -> int:
     """Newform dimension at weight k and level N = f.value().
 
     The Mobius inverse of the representation count over the divisors of
-    N: the same linear combination as :func:`dim_A`, taken over the sharp
-    functions N*s0#, nu_inf#, nu2#, nu3# (each a product of its local
-    factors :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
+    N: the closed form of :func:`dim_A` at the sharp values N*s0#,
+    nu_inf#, nu2#, nu3# (each a product of its local factors
+    :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
     The result must be a nonnegative integer.
     """
-    wc = weight_class(k)
     x = w = y = z = mu = 1
     for p, e in f:
         lx, lw, ly, lz, lmu = sharp_local(p, e)
         x, w, y, z, mu = x * lx, w * lw, y * ly, z * lz, mu * lmu
-    total = (
-        Fraction(k - 1, 12) * x
-        - Fraction(w, 2)
-        + wc.c2 * y
-        + wc.c3 * z
-        + wc.delta2 * mu
-    )
-    if total.denominator != 1 or total < 0:
-        raise InternalInconsistencyError(
-            f"newform dimension B({k},{f.value()}) = {total} is not a nonnegative integer"
-        )
-    return int(total)
+    twelve = twelve_combination(k, x, w, y, z)
+    if k == 2:
+        twelve += 12 * mu
+    return _count(twelve, f"newform dimension B({k},{f.value()})")
 
 
 # --- sharp values at prime powers --------------------------------------

@@ -11,14 +11,17 @@ families over any window lo..hi, by multiplying the local factors of
 
 * the star tables (:func:`build_star_tables`): the four starred
   functions of :func:`~dimfactor.multfuncs.star_local` and the Mobius
-  function.  The representation count A is one linear combination of
-  them per weight.
+  function.
 * the sharp tables (:func:`build_sharp_tables`): the four sharp
   functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
-  inverses of the starred ones), mu, and primality.  The newform count B
-  is the same linear combination of them, so no Mobius inversion runs on
-  any sweep; :func:`mobius_invert` stays as the reference the tests
-  check the sharp sieve against.
+  inverses of the starred ones), mu, and primality.  No Mobius inversion
+  runs on any sweep; :func:`mobius_invert` stays as the reference the
+  tests check the sharp sieve against.
+
+G, A and B are each :func:`~dimfactor.multfuncs.twelve_combination`,
+the one closed form the exact path evaluates too, applied to whole
+arrays: G at (N, 1, (-4|N), (-3|N)), A at the star tables, B at the
+sharp tables plus 12 * delta2 * mu.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
@@ -32,10 +35,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .multfuncs import sharp_local, star_local
+from .dimensions import level_one_newform_dim
+from .multfuncs import sharp_local, star_local, twelve_combination
 
-_KRON4 = np.array([0, 1, 0, -1], dtype=np.int64)
-_KRON3 = np.array([0, 1, -1], dtype=np.int64)
+# int8: twelve_G holds both Kronecker arrays while the combination runs
+_KRON4 = np.array([0, 1, 0, -1], dtype=np.int8)
+_KRON3 = np.array([0, 1, -1], dtype=np.int8)
 
 
 # --- the sieve -----------------------------------------------------------
@@ -199,50 +204,26 @@ def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twelve_c2(k: int) -> int:
-    return 3 if k % 4 == 0 else -3
-
-
-def _twelve_c3(k: int) -> int:
-    r = k % 3
-    return 4 if r == 0 else (0 if r == 1 else -4)
-
-
-def _combine(k: int, s0, nu_inf, nu2, nu3) -> np.ndarray:
-    """12 * ((k-1)/12 * s0 - nu_inf/2 + c2 * nu2 + c3 * nu3): the linear
-    combination that gives A from the starred tables and B (up to the
-    delta2 term) from the sharp ones."""
-    return (k - 1) * s0 - 6 * nu_inf + _twelve_c2(k) * nu2 + _twelve_c3(k) * nu3
-
-
-def level_one_twelve(k: int) -> int:
-    """12 * B(k, 1), the level-one newform dimension scaled by 12."""
-    return (k - 7) + _twelve_c2(k) + _twelve_c3(k) + (12 if k == 2 else 0)
-
-
 def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
-    """12 * G(k, N) for every level in ``levels``."""
-    return (
-        (k - 1) * levels - 6
-        + _twelve_c2(k) * _KRON4[levels % 4]
-        + _twelve_c3(k) * _KRON3[levels % 3]
-    )
+    """12 * G(k, N) for every level in ``levels``: the closed form at
+    (N, 1, (-4|N), (-3|N))."""
+    return twelve_combination(k, levels, 1, _KRON4[levels % 4], _KRON3[levels % 3])
 
 
 def twelve_A(k: int, tables: StarTables, lo: int, hi: int) -> np.ndarray:
-    """12 * A(k, N) for levels lo..hi inside the star tables' range.  The
-    closed formula holds from level 2 on (level 1 lacks the delta2 term
-    that :func:`dimension_tables` adds)."""
+    """12 * A(k, N) for levels lo..hi inside the star tables' range: the
+    closed form at the starred tables.  It holds from level 2 on (level 1
+    lacks the delta2 term that :func:`dimension_tables` adds)."""
     sl = slice(lo - tables.lo, hi - tables.lo + 1)
-    return _combine(k, tables.ns0[sl], tables.nu_inf[sl], tables.nu2[sl], tables.nu3[sl])
+    return twelve_combination(k, tables.ns0[sl], tables.nu_inf[sl], tables.nu2[sl], tables.nu3[sl])
 
 
 def twelve_B(k: int, sharp: SharpTables, lo: int, hi: int) -> np.ndarray:
-    """12 * B(k, N) for levels lo..hi inside the sharp tables' range: one
-    linear combination of the sharp tables plus 12 * delta2 * mu (0 at
-    level 0, where every sharp table reads 0)."""
+    """12 * B(k, N) for levels lo..hi inside the sharp tables' range: the
+    closed form at the sharp tables plus 12 * delta2 * mu (0 at level 0,
+    where every sharp table reads 0)."""
     sl = slice(lo - sharp.lo, hi - sharp.lo + 1)
-    out = _combine(k, sharp.x[sl], sharp.w[sl], sharp.y[sl], sharp.z[sl])
+    out = twelve_combination(k, sharp.x[sl], sharp.w[sl], sharp.y[sl], sharp.z[sl])
     if k == 2:
         out += 12 * sharp.mu[sl]
     return out
@@ -267,12 +248,10 @@ def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     carries the level-one dimension so the divisor-sum identity holds
     across the whole range.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"weight must be a positive even integer, got {k}")
+    b1_12 = 12 * level_one_newform_dim(k)  # checks the weight
     if tables.lo != 0 or tables.hi < 1:
         raise ValueError(f"dimension tables need levels 0..limit, got [{tables.lo}, {tables.hi}]")
     limit = tables.hi
-    b1_12 = level_one_twelve(k)
     G12 = twelve_G(k, np.arange(limit + 1, dtype=np.int64))
     A12 = twelve_A(k, tables, 0, limit)
     A12[1] = b1_12

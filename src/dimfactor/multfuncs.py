@@ -1,13 +1,16 @@
 """The four starred multiplicative functions entering the closed formula
-for the representation count, and their sharp (Mobius-inverted)
-counterparts entering the newform dimension.
+for the representation count, their sharp (Mobius-inverted)
+counterparts entering the newform dimension, and the one linear
+combination that turns either family into a dimension.
 
 Both families are defined once, by their local factors at a prime power
 (:func:`star_local`, :func:`sharp_local`); the exact path multiplies them
 over a factorization and the sieve kernels multiply them over a range.
-The functions of N take a :class:`~dimfactor.arith.Factorization`, never
-a bare integer: they are only computable with the factorization in hand,
-and the signature keeps that dependency explicit.
+Every dimension formula of the package is :func:`twelve_combination` of
+four such values, scaled by 12 to stay in integers.  The functions of N
+take a :class:`~dimfactor.arith.Factorization`, never a bare integer:
+they are only computable with the factorization in hand, and the
+signature keeps that dependency explicit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, kronecker_m3, kronecker_m4
+from .arith import Factorization, kronecker_m3, kronecker_m4, twelve_weight_coefficients
+
+
+def twelve_combination(k: int, x, w, y, z):
+    """12 * ((k-1)/12 * x - w/2 + c2(k) * y + c3(k) * z), the closed form
+    every dimension count of the package takes, as an integer:
+
+    * A(k, N) at the starred values (N * s0*, nu_inf*, nu2*, nu3*);
+    * B(k, N) at the sharp values, plus delta2 * mu(N);
+    * G(k, N) at (N, 1, (-4|N), (-3|N)), the starred values of a
+      squarefree N, which is why G = A exactly on squarefree levels.
+
+    Works on Python ints and on integer arrays alike.
+    """
+    t2, t3 = twelve_weight_coefficients(k)
+    return (k - 1) * x - 6 * w + t2 * y + t3 * z
 
 
 def star_local(p: int, e: int) -> tuple[int, int, int, int]:

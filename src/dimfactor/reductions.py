@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4, weight_class
-from .dimensions import dim_G, sharp_s0_on_squarefull
+from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4
+from .dimensions import sharp_s0_on_squarefull, twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
+from .multfuncs import twelve_combination
 
 DEFAULT_RETRY_BUDGET = 128
 
@@ -179,30 +180,30 @@ def recover_nu23_star(N: int, k: int, a_value: int) -> tuple[int, int]:
     """(nu2*, nu3*) of N from the single oracle value a_value = A(k, N).
 
     Uses only divisibility of N by 4, 8, 9 and 27, the squarefree
-    characterization, and two exact identity tests on the known value;
-    levels up to 37 come from a lookup table.
+    characterization, and two exact identity tests on the known value:
+    12 * a_value against the closed form at the starred values N would
+    have if N/9, or N/4, were squarefree.  Levels up to 37 come from a
+    lookup table.
     """
     if N < 1:
         raise ValueError(f"level must be positive, got {N}")
     if N <= 37:
         return _SMALL_NU23[N]
-    wc = weight_class(k)
+    a12 = 12 * a_value
+    g_equals_a = twelve_G(k, N) == a12  # also checks the weight
     by4, by9 = N % 4 == 0, N % 9 == 0
     if not by4 and not by9:
-        if dim_G(k, N) == a_value:  # squarefree exactly here (N >= 38)
-            return kronecker_m4(N), kronecker_m3(N)
-        return 0, 0
+        # squarefree exactly when G = A here (N >= 38)
+        return (kronecker_m4(N), kronecker_m3(N)) if g_equals_a else (0, 0)
     nu2 = nu3 = 0
     if by9 and N % 27 != 0:
-        # identity satisfied exactly when N/9 is squarefree
-        rhs = Fraction(2 * (k - 1), 27) * N - 1 - wc.c3 * kronecker_m3(N // 9)
-        if rhs == a_value:
-            nu3 = -kronecker_m3(N // 9)
+        m = N // 9  # starred values (8m, 2, 0, -(-3|m)) when m is squarefree
+        if twelve_combination(k, 8 * m, 2, 0, -kronecker_m3(m)) == a12:
+            nu3 = -kronecker_m3(m)
     if by4 and N % 8 != 0:
-        # identity satisfied exactly when N/4 is squarefree
-        rhs = Fraction(k - 1, 16) * N - Fraction(1, 2) - wc.c2 * kronecker_m4(N // 4)
-        if rhs == a_value:
-            nu2 = -kronecker_m4(N // 4)
+        m = N // 4  # starred values (3m, 1, -(-4|m), 0) when m is squarefree
+        if twelve_combination(k, 3 * m, 1, -kronecker_m4(m), 0) == a12:
+            nu2 = -kronecker_m4(m)
     return nu2, nu3
 
 
@@ -293,11 +294,11 @@ def factor_squarefull_two_values(
             f"{nu23_1} vs {nu23_2}"
         )
     nu2, nu3 = nu23_1
-    wc1, wc2 = weight_class(k1), weight_class(k2)
-    a1_star = a1 - wc1.c2 * nu2 - wc1.c3 * nu3
-    a2_star = a2 - wc2.c2 * nu2 - wc2.c3 * nu3
-    s0 = 12 * (a2_star - a1_star) / ((k2 - k1) * N)
-    nu_inf = 2 * (a2_star * (k1 - 1) - a1_star * (k2 - 1)) / (k2 - k1)
+    # 12 * A(k_i, N) less its Kronecker terms is (k_i - 1) N s0* - 6 nu_inf*
+    u1 = 12 * a1 - twelve_combination(k1, 0, 0, nu2, nu3)
+    u2 = 12 * a2 - twelve_combination(k2, 0, 0, nu2, nu3)
+    s0 = Fraction(u2 - u1, (k2 - k1) * N)
+    nu_inf = Fraction(u2 * (k1 - 1) - u1 * (k2 - 1), 6 * (k2 - k1))
     if nu_inf.denominator != 1 or nu_inf <= 0:
         raise InconsistentInputsError(f"solved nu_inf* = {nu_inf} is not a positive integer")
     if not 0 < s0 <= 1:
@@ -361,23 +362,18 @@ def full_factor_three_values(
     split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng, retry_budget)
     if split.E == 1:
         return split.L
-    wc = weight_class(k)
     l_sharp = sharp_s0_on_squarefull(split.L)  # L * s0#(L), an exact integer
     tried: set[int] = set()
     for guess in _sharp_guesses(N, split.L.value()):
-        rhs = (
-            b_value
-            - wc.c2 * guess.nu2_sharp
-            - wc.c3 * guess.nu3_sharp
-            - wc.delta2 * guess.mu
-        )
-        n_sharp = Fraction(12, k - 1) * rhs  # candidate N * s0#(N)
-        if n_sharp.denominator != 1 or n_sharp <= 0:
+        # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
+        # nu_inf# term vanishes since E > 1
+        rest = twelve_combination(k, 0, 0, guess.nu2_sharp, guess.nu3_sharp)
+        n_sharp, r = divmod(12 * b_value - rest - (12 * guess.mu if k == 2 else 0), k - 1)
+        if r or n_sharp <= 0:
             continue
-        phi_e = Fraction(int(n_sharp), l_sharp)  # candidate phi(E)
-        if phi_e.denominator != 1:
+        cand, r = divmod(n_sharp, l_sharp)  # candidate phi(E)
+        if r:
             continue
-        cand = int(phi_e)
         if not 1 <= cand < split.E or (split.E > 2 and cand % 2 != 0):
             continue
         if cand in tried:

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import PRIMALITY_EQUALITY_EXCEPTIONS, PRIMALITY_REVERSED_EXCEPTIONS
+from .dimensions import level_one_newform_dim
 from .kernels import (
     SharpTables,
     StarTables,
     build_sharp_tables,
     build_star_tables,
-    level_one_twelve,
     twelve_A,
     twelve_B,
     twelve_G,
@@ -66,6 +66,14 @@ def check_sweep(lo: int, hi: int, ks) -> None:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 
 
+def _check_covers(lo: int, hi: int, tables: StarTables | None) -> None:
+    """Refuse tables passed in that do not hold every level of [lo, hi]."""
+    if tables is not None and not tables.lo <= lo <= hi <= tables.hi:
+        raise ValueError(
+            f"tables cover levels [{tables.lo}, {tables.hi}], not the sweep range [{lo}, {hi}]"
+        )
+
+
 def trichotomy_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
@@ -75,6 +83,7 @@ def trichotomy_sweep(
     ``tables`` only the window is sieved."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
+    _check_covers(lo, hi, tables)
     tables = tables if tables is not None else build_star_tables(lo, hi)
     idx = np.arange(lo, hi + 1, dtype=np.int64)
     squarefree = tables.mu[lo - tables.lo : hi - tables.lo + 1] != 0
@@ -102,12 +111,13 @@ def trichotomy_sweep(
 def _sharp_window(lo: int, hi: int, tables: StarTables | None) -> SharpTables:
     """The sharp tables covering [lo, hi]: those of ``tables`` when given,
     otherwise sieved over the window alone."""
+    _check_covers(lo, hi, tables)
     return tables.sharp if tables is not None else build_sharp_tables(lo, hi)
 
 
 def _twelve_H_minus_B(k: int, idx: np.ndarray, sharp: SharpTables) -> np.ndarray:
     lo, hi = int(idx[0]), int(idx[-1])
-    return twelve_G(k, idx) - level_one_twelve(k) - twelve_B(k, sharp, lo, hi)
+    return twelve_G(k, idx) - 12 * level_one_newform_dim(k) - twelve_B(k, sharp, lo, hi)
 
 
 def primality_sweep(

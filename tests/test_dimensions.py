@@ -28,8 +28,9 @@ from dimfactor.dimensions import (
     sharp_s0_on_squarefull,
     sharp_values_at_prime_power,
 )
+from dimfactor.bounds import compute_T
 from dimfactor.errors import InvalidWeightError
-from dimfactor.multfuncs import nu_inf_star, s0_star
+from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, twelve_combination
 
 
 @pytest.mark.parametrize(
@@ -234,11 +235,58 @@ def test_H_equals_B_at_primes():
             assert dim_H(k, p) == dim_B(k, factor_trial(p)), (k, p)
 
 
+def _rational_reference(k, f):
+    """G, H, A and B(k, 1) from the rational closed forms, with the
+    weight_class Fractions and the starred functions of N: the
+    cross-check on the 12-scaled integer form the package evaluates."""
+    n, wc = f.value(), weight_class(k)
+    b1 = Fraction(k - 7, 12) + wc.c2 + wc.c3 + wc.delta2
+    g = Fraction(k - 1, 12) * n - Fraction(1, 2) + wc.c2 * kronecker_m4(n) + wc.c3 * kronecker_m3(n)
+    a = b1 if n == 1 else (
+        Fraction(k - 1, 12) * n * s0_star(f)
+        - Fraction(nu_inf_star(f), 2)
+        + wc.c2 * nu2_star(f)
+        + wc.c3 * nu3_star(f)
+    )
+    return g, g - b1, a, b1
+
+
+def test_integer_forms_match_rational_reference(rng):
+    cases = [factor_trial(n) for n in range(1, 3001)]
+    cases += [_random_factorization(rng, omega=1 + i % 8) for i in range(200)]
+    for f in cases:
+        n = f.value()
+        for k in (2, 4, 6, 12, 14, 26):
+            g, h, a, b1 = _rational_reference(k, f)
+            got_a = dim_A(k, f)
+            assert (dim_G(k, n), dim_H(k, n), got_a) == (g, h, a), (k, n)
+            assert level_one_newform_dim(k) == b1, k
+            if n >= 2:
+                wc = weight_class(k)
+                t0, _ = compute_T(k, n, got_a)
+                assert type(t0) is int
+                assert t0 == 12 * (
+                    g - a + Fraction(1, 2) - wc.c2 * kronecker_m4(n) - wc.c3 * kronecker_m3(n)
+                ), (k, n)
+
+
 def test_odd_weight_rejected():
     with pytest.raises(InvalidWeightError):
         dim_G(3, 10)
     with pytest.raises(InvalidWeightError):
         dim_A(5, factor_trial(10))
+    f = factor_trial(10)
+    calls = (
+        lambda k: dim_B(k, f),
+        lambda k: dim_H(k, 10),
+        lambda k: level_one_newform_dim(k),
+        lambda k: compute_T(k, 10, 0),
+        lambda k: twelve_combination(k, 1, 1, 1, 1),
+    )
+    for k in (0, 1, 3, -2):
+        for call in calls:
+            with pytest.raises(InvalidWeightError):
+                call(k)
 
 
 # --- sharp values ---------------------------------------------------------

@@ -7,7 +7,7 @@ from dimfactor import kernels
 from dimfactor.arith import factor_trial
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
-from dimfactor.sweeps import primality_sweep, trichotomy_sweep
+from dimfactor.sweeps import equality_pairs_at_composites, primality_sweep, trichotomy_sweep
 
 LIMIT = 20_000
 
@@ -154,3 +154,22 @@ def test_window_sweeps_match_whole_range_tables(np_tables, sweep):
             want.checked, want.violations, want.exceptions_observed
         ), (lo, hi)
         assert got.checked == 3 * (hi - lo + 1)
+
+
+_SWEEPS = {
+    "trichotomy_sweep": lambda lo, hi, tables: trichotomy_sweep(lo, hi, (2,), tables),
+    "primality_sweep": lambda lo, hi, tables: primality_sweep(lo, hi, (2,), tables),
+    "equality_pairs_at_composites": lambda lo, hi, tables: equality_pairs_at_composites(
+        lo, hi, 2, tables
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEPS))
+@pytest.mark.parametrize("have,want", [((0, 15), (10, 20)), ((12, 30), (10, 20)), ((12, 30), (10, 10))])
+def test_sweeps_refuse_tables_not_covering_window(name, have, want):
+    # tables missing part of the window are refused with both ranges named,
+    # not read at a wrapped-around index or broadcast into a numpy error
+    with pytest.raises(ValueError, match=r"\[%d, %d\].*\[%d, %d\]" % (*have, *want)):
+        _SWEEPS[name](*want, kernels.build_star_tables(*have))
+    _SWEEPS[name](*want, kernels.build_star_tables(*want))  # exact cover is accepted
