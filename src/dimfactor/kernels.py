@@ -210,10 +210,20 @@ def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
     return twelve_combination(k, levels, 1, _KRON4[levels % 4], _KRON3[levels % 3])
 
 
+def check_covers(tables: StarTables | SharpTables, lo: int, hi: int) -> None:
+    """Refuse tables that do not hold every level of [lo, hi]."""
+    if not tables.lo <= lo <= hi <= tables.hi:
+        raise ValueError(
+            f"tables cover levels [{tables.lo}, {tables.hi}], not the window [{lo}, {hi}]"
+        )
+
+
 def twelve_A(k: int, tables: StarTables, lo: int, hi: int) -> np.ndarray:
     """12 * A(k, N) for levels lo..hi inside the star tables' range: the
     closed form at the starred tables.  It holds from level 2 on (level 1
-    lacks the delta2 term that :func:`dimension_tables` adds)."""
+    lacks the delta2 term that :func:`dimension_tables` adds).  A window
+    the tables do not cover raises ValueError."""
+    check_covers(tables, lo, hi)
     sl = slice(lo - tables.lo, hi - tables.lo + 1)
     return twelve_combination(k, tables.ns0[sl], tables.nu_inf[sl], tables.nu2[sl], tables.nu3[sl])
 
@@ -221,7 +231,9 @@ def twelve_A(k: int, tables: StarTables, lo: int, hi: int) -> np.ndarray:
 def twelve_B(k: int, sharp: SharpTables, lo: int, hi: int) -> np.ndarray:
     """12 * B(k, N) for levels lo..hi inside the sharp tables' range: the
     closed form at the sharp tables plus 12 * delta2 * mu (0 at level 0,
-    where every sharp table reads 0)."""
+    where every sharp table reads 0).  A window the tables do not cover
+    raises ValueError."""
+    check_covers(sharp, lo, hi)
     sl = slice(lo - sharp.lo, hi - sharp.lo + 1)
     out = twelve_combination(k, sharp.x[sl], sharp.w[sl], sharp.y[sl], sharp.z[sl])
     if k == 2:

@@ -5,6 +5,12 @@ of the input level except through the supplied oracle values, O(1)
 divisibility checks by 4, 8, 9 and 27, and trial division by primes the
 algorithms themselves discover.  In particular the ground-truth
 factorizer is never imported.
+
+The two-value reduction finds the squarefull part L of N and the split
+N = E * L; the three-value reduction then tries only the sharp triples
+possible for that split (at most 392 when E < 2^48) and gates each
+candidate totient of E with one Fermat check before the totient-multiple
+factorizer runs.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4
-from .dimensions import sharp_s0_on_squarefull, twelve_G
+from .dimensions import sharp_s0_on_squarefull, sharp_values_at_prime_power, twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
 from .multfuncs import twelve_combination
 
@@ -71,10 +78,29 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+@lru_cache(maxsize=128)
+def _first_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` primes, by trial division.  The first
+    bit_length(n) primes hold every exponent :func:`_exact_power_base`
+    tries on n and every prime :func:`_omega_bound` multiplies for n."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return tuple(primes)
+
+
 def _exact_power_base(n: int) -> tuple[int, int] | None:
-    """(r, j) with r**j == n and j >= 2 minimal, or None."""
-    for j in range(2, n.bit_length() + 1):
-        r = _iroot(n, j)
+    """(r, j) with r**j == n and j >= 2 minimal, or None.
+
+    The minimal exponent is prime (r**(i*j) is also (r**i)**j), so only
+    prime j are tried, math.isqrt at j = 2 and the Newton root at odd j,
+    until the root drops below 2.
+    """
+    for j in _first_primes(n.bit_length()):
+        r = math.isqrt(n) if j == 2 else _iroot(n, j)
         if r < 2:
             return None
         if r**j == n:
@@ -319,20 +345,57 @@ class SharpGuess:
     mu: int
 
 
-def _sharp_guesses(N: int, squarefull_part: int):
-    """Candidate triples in increasing magnitude, consistent Mobius
-    values first (mu = 0 is forced when the squarefull part exceeds 1)."""
-    vals = [0]
-    power = 1
-    while power <= N:
-        vals.append(power)
-        vals.append(-power)
-        power <<= 1
-    mus = (0,) if squarefull_part > 1 else (1, -1, 0)
-    for mu in mus:
-        for y in vals:
-            for z in vals:
-                yield SharpGuess(nu2_sharp=y, nu3_sharp=z, mu=mu)
+def _omega_bound(n: int) -> int:
+    """The largest r whose primorial (the product of the first r primes)
+    is at most n: a bound on the number of distinct primes dividing n."""
+    r, primorial = 0, 1
+    for p in _first_primes(n.bit_length()):  # their product exceeds n
+        primorial *= p
+        if primorial > n:
+            break
+        r += 1
+    return r
+
+
+def _sharp_guesses(split: SquarefullSplit):
+    """The triples (nu2#(N), nu3#(N), mu(N)) possible for N = E * L.
+
+    E is squarefree and coprime to L, so the sharp values multiply:
+    nu2#(N) = nu2#(E) * nu2#(L), and the same for nu3#.
+
+    * nu2#(L) and nu3#(L) are the products of the sharp values at the
+      prime powers of L, which the two-value reduction found.  When one
+      of them is 0, its coordinate takes the single value 0.
+    * At each prime p of E the local factors are (-4|p) - 1 and
+      (-3|p) - 1, both in {0, -1, -2}.  So nu2#(E) and nu3#(E) each lie
+      in {0} u {s * 2^a : 0 <= a <= omega(E)}, with the same sign
+      s = (-1)^omega(E) for both.
+    * mu(N) = s when L = 1, and 0 otherwise.
+    * omega(E) is at most :func:`_omega_bound` of E, omega_max.
+
+    (The local factors are those of G. Martin, J. Number Theory 112
+    (2005).)  The sign s = +1 comes first, then s = -1; within a sign the
+    pairs go in increasing order of the sum of their exponent indices
+    (0 first, then 2^0, 2^1, ...).  That is at most 2 (omega_max + 2)^2
+    triples: 392 for E < 2^48, where omega_max = 12.  Under truthful
+    inputs the true triple is among them; a triple may repeat only as
+    (0, 0, 0), when L > 1.
+    """
+    y_l = z_l = 1
+    for p, e in split.L:
+        local = sharp_values_at_prime_power(p, e)
+        y_l *= local.y
+        z_l *= local.z
+    top = _omega_bound(split.E)
+    l_is_one = split.L.value() == 1
+    for s in (1, -1):
+        mu = s if l_is_one else 0
+        sharp_e = [0] + [s << a for a in range(top + 1)]
+        ys = [y_l * v for v in sharp_e] if y_l else [0]
+        zs = [z_l * v for v in sharp_e] if z_l else [0]
+        for total in range(len(ys) + len(zs) - 1):
+            for i in range(max(0, total - len(zs) + 1), min(total, len(ys) - 1) + 1):
+                yield SharpGuess(nu2_sharp=ys[i], nu3_sharp=zs[total - i], mu=mu)
 
 
 def full_factor_three_values(
@@ -348,12 +411,18 @@ def full_factor_three_values(
 ) -> Factorization:
     """Complete factorization of N from A(k1, N), A(k2, N) and B(k, N).
 
-    The squarefull part comes from the two-value reduction.  For the
-    squarefree part E, each guess of the sharp Kronecker/Mobius triple
-    turns the newform dimension into a candidate totient of E (the sharp
-    infinity value vanishes as soon as E > 1); the totient-multiple
-    factorizer then either produces a factorization, which is accepted
-    iff it recomposes to N with all factors prime, or fails fast.
+    The squarefull part L comes from the two-value reduction.  For the
+    squarefree part E, each sharp Kronecker/Mobius triple possible for
+    the split N = E * L (:func:`_sharp_guesses`) turns the newform
+    dimension into a candidate totient of E (the sharp infinity value
+    vanishes as soon as E > 1).  A candidate m is handed to the
+    totient-multiple factorizer (Miller's split of E from a multiple of
+    phi(E)) only if 2**m = 1 modulo the odd part of E, which the true
+    phi(E) always satisfies; so a wrong guess costs one modular
+    exponentiation.  A factorization is accepted iff it recomposes to N
+    with all factors prime.  Lying values raise FactoringFailureError or
+    InconsistentInputsError, unless a guess still yields the certified
+    factorization of N.
     """
     if N < 1:
         raise ValueError(f"level must be positive, got {N}")
@@ -363,8 +432,9 @@ def full_factor_three_values(
     if split.E == 1:
         return split.L
     l_sharp = sharp_s0_on_squarefull(split.L)  # L * s0#(L), an exact integer
+    e_odd = split.E >> ((split.E & -split.E).bit_length() - 1)  # E without its factors of 2
     tried: set[int] = set()
-    for guess in _sharp_guesses(N, split.L.value()):
+    for guess in _sharp_guesses(split):
         # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
         # nu_inf# term vanishes since E > 1
         rest = twelve_combination(k, 0, 0, guess.nu2_sharp, guess.nu3_sharp)
@@ -379,6 +449,9 @@ def full_factor_three_values(
         if cand in tried:
             continue
         tried.add(cand)
+        # phi(e_odd) divides the true candidate phi(E), so it passes
+        if e_odd > 1 and pow(2, cand, e_odd) != 1:
+            continue
         try:
             fac_e = factor_given_phi_multiple(split.E, cand, rng, retry_budget)
         except FactoringFailureError:

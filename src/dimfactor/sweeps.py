@@ -22,6 +22,7 @@ from .kernels import (
     StarTables,
     build_sharp_tables,
     build_star_tables,
+    check_covers,
     twelve_A,
     twelve_B,
     twelve_G,
@@ -51,10 +52,6 @@ class SweepReport:
         return not self.violations
 
 
-def _signs(diff: np.ndarray) -> np.ndarray:
-    return np.sign(diff).astype(np.int64)
-
-
 def check_sweep(lo: int, hi: int, ks) -> None:
     """Refuse a sweep the kernels cannot run exactly and in bounded memory."""
     if lo < 2 or hi < lo:
@@ -66,14 +63,6 @@ def check_sweep(lo: int, hi: int, ks) -> None:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 
 
-def _check_covers(lo: int, hi: int, tables: StarTables | None) -> None:
-    """Refuse tables passed in that do not hold every level of [lo, hi]."""
-    if tables is not None and not tables.lo <= lo <= hi <= tables.hi:
-        raise ValueError(
-            f"tables cover levels [{tables.lo}, {tables.hi}], not the sweep range [{lo}, {hi}]"
-        )
-
-
 def trichotomy_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
@@ -83,13 +72,14 @@ def trichotomy_sweep(
     ``tables`` only the window is sieved."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    _check_covers(lo, hi, tables)
-    tables = tables if tables is not None else build_star_tables(lo, hi)
+    if tables is None:
+        tables = build_star_tables(lo, hi)
+    check_covers(tables, lo, hi)
     idx = np.arange(lo, hi + 1, dtype=np.int64)
     squarefree = tables.mu[lo - tables.lo : hi - tables.lo + 1] != 0
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
-        got = _signs(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))
+        got = np.sign(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))
         expected = np.where(squarefree, 0, 1).astype(np.int64)
         if k == 2:
             if lo <= 9 <= hi:
@@ -111,8 +101,10 @@ def trichotomy_sweep(
 def _sharp_window(lo: int, hi: int, tables: StarTables | None) -> SharpTables:
     """The sharp tables covering [lo, hi]: those of ``tables`` when given,
     otherwise sieved over the window alone."""
-    _check_covers(lo, hi, tables)
-    return tables.sharp if tables is not None else build_sharp_tables(lo, hi)
+    if tables is None:
+        return build_sharp_tables(lo, hi)
+    check_covers(tables, lo, hi)
+    return tables.sharp
 
 
 def _twelve_H_minus_B(k: int, idx: np.ndarray, sharp: SharpTables) -> np.ndarray:
@@ -133,7 +125,7 @@ def primality_sweep(
     prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
-        got = _signs(_twelve_H_minus_B(k, idx, sharp))
+        got = np.sign(_twelve_H_minus_B(k, idx, sharp))
         expected = np.where(prime, 0, 1).astype(np.int64)
         for kk, n in PRIMALITY_EQUALITY_EXCEPTIONS:
             if kk == k and lo <= n <= hi:

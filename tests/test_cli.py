@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dimfactor
 from dimfactor.cli import main
 from dimfactor.sweeps import MAX_SWEEP_HI
 
@@ -194,10 +196,15 @@ def test_seed_env_var(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports the same dimfactor as this process, installed or not
+    root = os.path.dirname(os.path.dirname(dimfactor.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
     out = subprocess.run(
         [sys.executable, "-m", "dimfactor", "dim", "A", "2", "11"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0 and out.stdout.strip() == "1"
 

@@ -173,3 +173,21 @@ def test_sweeps_refuse_tables_not_covering_window(name, have, want):
     with pytest.raises(ValueError, match=r"\[%d, %d\].*\[%d, %d\]" % (*have, *want)):
         _SWEEPS[name](*want, kernels.build_star_tables(*have))
     _SWEEPS[name](*want, kernels.build_star_tables(*want))  # exact cover is accepted
+
+
+_COMBINATIONS = {
+    "twelve_A": lambda tables, lo, hi: kernels.twelve_A(2, tables, lo, hi),
+    "twelve_B": lambda tables, lo, hi: kernels.twelve_B(2, tables.sharp, lo, hi),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMBINATIONS))
+@pytest.mark.parametrize("want", [(10, 20), (25, 40), (31, 35), (5, 40)])
+def test_combinations_refuse_windows_not_covered(name, want):
+    # a window reaching past the tables is refused with both ranges named,
+    # not sliced into a shorter (or empty) array
+    tables = kernels.build_star_tables(12, 30)
+    with pytest.raises(ValueError, match=r"\[12, 30\].*\[%d, %d\]" % want):
+        _COMBINATIONS[name](tables, *want)
+    assert len(_COMBINATIONS[name](tables, 12, 30)) == 19
+    assert len(_COMBINATIONS[name](tables, 20, 20)) == 1

@@ -1,15 +1,20 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from dimfactor import kernels
+from dimfactor import kernels, reductions
 from dimfactor.arith import Factorization, euler_phi, factor_trial, is_probable_prime
 from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import FactoringFailureError, InconsistentInputsError
-from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
+from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
 from dimfactor.reductions import (
+    SharpGuess,
     SquarefullSplit,
+    _exact_power_base,
+    _sharp_guesses,
     factor_given_phi_multiple,
     factor_squarefull_from_invariants,
     factor_squarefull_two_values,
@@ -67,6 +72,29 @@ def test_phi_factoring_rejects_bad_multiple(rng):
     # phi(1891) = 1800; an odd m cannot be a totient multiple here
     with pytest.raises(FactoringFailureError):
         factor_given_phi_multiple(31 * 61, 45, rng)
+
+
+def _power_base_all_exponents(n):
+    """The perfect-power search the splitter made before it tried prime
+    exponents only: every j from 2 to bit_length, with exact roots."""
+    for j in range(2, n.bit_length() + 1):
+        r = reductions._iroot(n, j)
+        if r < 2:
+            return None
+        if r**j == n:
+            return r, j
+    return None
+
+
+def test_exact_power_base_matches_all_exponent_search():
+    for n in range(100_001):
+        assert _exact_power_base(n) == _power_base_all_exponents(n), n
+    r = random.Random(31)
+    for _ in range(300):
+        j = r.randint(2, 60)
+        base = r.randrange(2, 1 << r.randint(2, 16))
+        for n in (base**j - 1, base**j, base**j + 1):
+            assert _exact_power_base(n) == _power_base_all_exponents(n), (base, j, n)
 
 
 def test_phi_factoring_determinism():
@@ -234,3 +262,157 @@ def test_outputs_carry_certified_primes(rng):
     assert got.value() == 44100
     for p, _ in got:
         assert is_probable_prime(p)
+
+
+# --- the sharp guesses and the Fermat check of the three-value reduction ------
+
+_PRIMES = [p for p in range(2, 200) if is_probable_prime(p)]
+
+
+def _reference_sharp_guesses(N, squarefull_part):
+    """The walk the three-value reduction made before it pruned its
+    guesses: every triple of 0 and +-2^a up to N, for each Mobius value
+    the squarefull part allows."""
+    vals = [0]
+    power = 1
+    while power <= N:
+        vals.append(power)
+        vals.append(-power)
+        power <<= 1
+    mus = (0,) if squarefull_part > 1 else (1, -1, 0)
+    for mu in mus:
+        for y in vals:
+            for z in vals:
+                yield SharpGuess(nu2_sharp=y, nu3_sharp=z, mu=mu)
+
+
+@lru_cache(maxsize=None)
+def _reference_walk(bits, l_above_one):
+    # the walk depends on N only through its bit length
+    return frozenset(_reference_sharp_guesses((1 << bits) - 1, 2 if l_above_one else 1))
+
+
+def _omega_max(e):
+    """The largest r with p_1 * ... * p_r <= e."""
+    r, primorial = 0, 1
+    while primorial * _PRIMES[r] <= e:
+        primorial *= _PRIMES[r]
+        r += 1
+    return r
+
+
+def _split_and_truth(f):
+    """The split N = E * L and the true (nu2#, nu3#, mu) of N, from its
+    factorization and the sharp local factors."""
+    e = math.prod(p for p, k in f if k == 1)
+    split = SquarefullSplit(E=e, L=Factorization(tuple((p, k) for p, k in f if k >= 2)))
+    local = [sharp_local(p, k) for p, k in f]
+    truth = SharpGuess(
+        nu2_sharp=math.prod(v[2] for v in local),
+        nu3_sharp=math.prod(v[3] for v in local),
+        mu=math.prod(v[4] for v in local),
+    )
+    return split, truth
+
+
+def _next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+def _planted_levels(count, seed):
+    """Factorizations of levels below 2^48: a planted squarefull part
+    (0 to 2 small primes, exponents 2 to 5) times a squarefree cofactor of
+    distinct primes of mixed sizes, led by three levels with 11 or 12
+    prime factors."""
+    r = random.Random(seed)
+    out = [
+        factor_trial(math.prod(_PRIMES[:12])),  # 2 * 3 * ... * 37
+        factor_trial(math.prod(_PRIMES[1:13])),  # 3 * 5 * ... * 41
+        factor_trial(4 * 27 * math.prod(_PRIMES[2:11])),
+    ]
+    while len(out) < count:
+        part = {p: r.randint(2, 5) for p in r.sample(_PRIMES[:8], r.randint(0, 2))}
+        value = math.prod(p**k for p, k in part.items())
+        if value >= 1 << 40:
+            continue
+        primes = set()
+        for _ in range(r.randint(0, 12)):
+            room = (1 << 48) // (value * math.prod(primes))
+            if room < 2:
+                break
+            p = _next_prime(r.randrange(2, max(3, min(room, 1 << r.randint(2, 47)))))
+            if p <= room and p not in part:
+                primes.add(p)
+        out.append(Factorization(tuple(sorted({**part, **dict.fromkeys(primes, 1)}.items()))))
+    return out
+
+
+def test_sharp_guesses_hold_the_true_triple():
+    # the pruned guesses always hold the true triple, stay inside the old
+    # exhaustive walk, and number at most 2 (omega_max + 2)^2
+    levels = [factor_trial(n) for n in range(1, 30_001)] + _planted_levels(300, 1234)
+    for f in levels:
+        split, truth = _split_and_truth(f)
+        n = f.value()
+        guesses = list(_sharp_guesses(split))
+        distinct = set(guesses)
+        assert truth in distinct, n
+        assert distinct <= _reference_walk(n.bit_length(), split.L.value() > 1), n
+        assert len(guesses) <= 2 * (_omega_max(split.E) + 2) ** 2, n
+
+
+@pytest.mark.parametrize("kb", [2, 4])
+def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
+    # with every split of E refused, the loop hands the splitter each
+    # candidate that passes its filters and the Fermat check: the true
+    # phi(E) must be among them, also where E = 2 (N = 2 and N = 2 * L).
+    # The squarefull step splits only numbers built from the primes of L.
+    seen = []
+    split_l = reductions.factor_given_phi_multiple
+
+    def refuse_e(d, m, rng, retry_budget):
+        if d != split.E:
+            return split_l(d, m, rng, retry_budget)
+        seen.append(m)
+        raise FactoringFailureError("refused")
+
+    monkeypatch.setattr(reductions, "factor_given_phi_multiple", refuse_e)
+    levels = [2, 6, 2 * 9, 2 * 25, 2 * 4 * 49, 2 * 27 * 121, 2 * 3 * 5 * 7 * 11 * 13 * 17]
+    for n in levels + list(range(3, 2_001)):
+        split, _ = _split_and_truth(factor_trial(n))
+        if split.E == 1:
+            continue
+        seen.clear()
+        with pytest.raises(FactoringFailureError):
+            full_factor_three_values(n, 2, _a(2, n), 4, _a(4, n), kb, _b(kb, n), random.Random(n))
+        assert euler_phi(factor_trial(split.E)) in seen, n
+
+
+@pytest.mark.parametrize("kb", [2, 4])
+def test_three_value_reduction_every_small_level(kb):
+    tables = kernels.star_tables(3_000)
+    a2 = kernels.dimension_tables(2, tables).A12 // 12
+    a4 = kernels.dimension_tables(4, tables).A12 // 12
+    b = kernels.dimension_tables(kb, tables).B12 // 12
+    for n in range(2, 3_001):
+        got = full_factor_three_values(
+            n, 2, int(a2[n]), 4, int(a4[n]), kb, int(b[n]), random.Random(n)
+        )
+        assert got.factors == factor_trial(n).factors, n
+
+
+def test_lying_newform_values_never_give_a_wrong_answer():
+    # an off B value either raises or still yields the one factorization
+    # that recomposes to N with certified primes
+    for i, f in enumerate(_planted_levels(200, 99)):
+        n = f.value()
+        a1, a2, b = dim_A(2, f), dim_A(4, f), dim_B(2, f)
+        for off in (-12, -1, 1, 12):
+            try:
+                got = full_factor_three_values(n, 2, a1, 4, a2, 2, b + off, random.Random(i))
+            except (FactoringFailureError, InconsistentInputsError):
+                continue
+            assert got.value() == n and all(is_probable_prime(p) for p, _ in got), (n, off)
+            assert got.factors == f.factors, (n, off)
