@@ -2,9 +2,16 @@
 
 Big integers are plain Python ints, exact rationals are
 ``fractions.Fraction``, and the only randomness is an explicitly passed
-``random.Random``.  The trial/rho factorizer at the bottom is ground-truth
-plumbing for tests and the default dimension oracle; the reduction
-algorithms never call it.
+``random.Random``.
+
+Primality is Miller-Rabin with graded deterministic bases: below psi_t,
+the least strong pseudoprime to the first t prime bases, the first t
+primes decide it exactly (seven bases below 2^48, thirteen, 2..41, below
+psi_13 ~ 3.3e24); from psi_13 on the test is probabilistic.  The
+factorizer at the bottom trial-divides by the primes below 2^10 and hands
+any larger cofactor to Pollard-Brent rho.  It is ground-truth plumbing
+for tests and the default dimension oracle; the reduction algorithms
+never call it.
 """
 
 from __future__ import annotations
@@ -71,10 +78,24 @@ def weight_class(k: int) -> WeightClass:
 
 # --- primality ---------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The twelve bases above are a deterministic Miller-Rabin witness set for
-# every n below this bound (Sorenson-Webster).
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
+# prime bases (Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster, Math.
+# Comp. 86 (2017) for psi_12 and psi_13), so below psi_t those t bases
+# decide primality exactly.  t = 8, 10 and 11 have no row: psi_8 = psi_7
+# and psi_10 = psi_11 = psi_9, so below those bounds 7 and 9 bases suffice.
+_PSI = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def _mr_composite_witness(n: int, a: int) -> bool:
@@ -93,22 +114,27 @@ def _mr_composite_witness(n: int, a: int) -> bool:
 
 
 def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 64) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.
 
-    Exact for n below ~3.3e24 thanks to a fixed witness set; above that,
-    ``rounds`` random bases push the error probability for composites
-    below 4**-rounds.  With ``rng=None`` the bases are drawn from a
-    generator seeded by n itself, so the answer is reproducible.
+    Below psi_t, the least strong pseudoprime to the first t prime bases,
+    the test runs those t bases and its answer is exact: one base (2)
+    below 2047, ..., seven (2..17) below psi_7 ~ 3.4e14, which covers
+    every n < 2^48, nine below psi_9 ~ 3.8e18, twelve below psi_12 ~
+    3.2e23 and thirteen (2..41) below psi_13.  From psi_13 on it is
+    probabilistic: ``rounds`` random bases push the error probability for
+    composites below 4**-rounds.  With ``rng=None`` those bases are drawn
+    from a generator seeded by n itself, so the answer is reproducible.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _BASES:
         if n == p:
             return True
         if n % p == 0:
             return False
-    if n < _DETERMINISTIC_BOUND:
-        return not any(_mr_composite_witness(n, a) for a in _SMALL_PRIMES)
+    for psi, t in _PSI:
+        if n < psi:
+            return not any(_mr_composite_witness(n, a) for a in _BASES[:t])
     if rng is None:
         rng = random.Random(n)
     return not any(
@@ -182,8 +208,17 @@ def euler_phi(f: Factorization) -> int:
 
 # --- ground-truth factorizer -------------------------------------------
 
-_TRIAL_BOUND = 65536  # anything below 10^6 is fully resolved by trial division
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+    return tuple(p for p in range(limit) if flags[p])
+
+
+_TRIAL_PRIMES = _primes_below(1 << 10)
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -229,29 +264,27 @@ def _rho_factor_into(n: int, counts: dict[int, int], rng: random.Random) -> None
 
 
 def factor_trial(n: int) -> Factorization:
-    """Exact prime factorization by trial division, with a Pollard rho
-    assist once the remaining cofactor outgrows the trial bound.
+    """Exact prime factorization: trial division by the primes below 2^10,
+    stopping as soon as p^2 exceeds what is left, then Pollard-Brent rho
+    on any cofactor that is neither 1 nor shown prime that way.
 
-    Intended for desk-scale inputs (roughly n <= 10^14).  This is test
-    and oracle plumbing; reduction algorithms must not call it.
+    Every prime it returns passes :func:`is_probable_prime`, so the
+    result is exact for every n whose prime factors lie below psi_13 ~
+    3.3e24.  Rho's work grows as the square root of the second-largest
+    prime factor, which keeps this to desk-scale inputs.  This is test and
+    oracle plumbing; reduction algorithms must not call it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            if n > 1:  # no prime below p divides it, so it is prime
+                counts[n] = 1
+            break
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    d, i = 7, 0
-    while d * d <= n and d <= _TRIAL_BOUND:
-        while n % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            n //= d
-        d += _WHEEL[i]
-        i = (i + 1) & 7
-    if n > 1:
-        if d * d > n:
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            _rho_factor_into(n, counts, random.Random(n))
+    else:
+        _rho_factor_into(n, counts, random.Random(n))
     return Factorization(tuple(sorted(counts.items())))

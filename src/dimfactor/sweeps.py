@@ -80,7 +80,7 @@ def trichotomy_sweep(
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
         got = np.sign(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))
-        expected = np.where(squarefree, 0, 1).astype(np.int64)
+        expected = np.where(squarefree, 0, 1)
         if k == 2:
             if lo <= 9 <= hi:
                 expected[9 - lo] = 0
@@ -126,7 +126,7 @@ def primality_sweep(
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     for k in ks:
         got = np.sign(_twelve_H_minus_B(k, idx, sharp))
-        expected = np.where(prime, 0, 1).astype(np.int64)
+        expected = np.where(prime, 0, 1)
         for kk, n in PRIMALITY_EQUALITY_EXCEPTIONS:
             if kk == k and lo <= n <= hi:
                 expected[n - lo] = 0

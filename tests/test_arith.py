@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from dimfactor.arith import (
     Factorization,
+    _mr_composite_witness,
     euler_phi,
     factor_trial,
     is_probable_prime,
@@ -88,9 +91,53 @@ def _sieve_primes(limit):
 
 
 def test_probable_prime_small_range_vs_sieve():
-    primes = _sieve_primes(10_000)
-    for n in range(1, 10_001):
+    primes = _sieve_primes(10**6)
+    for n in range(1, 10**6):
         assert is_probable_prime(n) == (n in primes), n
+
+
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_t, the least strong pseudoprime to the first t prime bases, by its
+# prime factors (Jaeschke 1993; Sorenson-Webster 2017 for t = 12, 13)
+_PSI_FACTORS = {
+    1: (23, 89),
+    2: (829, 1657),
+    3: (2251, 11251),
+    4: (151, 751, 28351),
+    5: (6763, 10627, 29947),
+    6: (1303, 16927, 157543),
+    7: (10670053, 32010157),
+    8: (10670053, 32010157),
+    9: (149491, 747451, 34233211),
+    10: (149491, 747451, 34233211),
+    11: (149491, 747451, 34233211),
+    12: (399165290221, 798330580441),
+    13: (1287836182261, 2575672364521),
+}
+
+
+@pytest.mark.parametrize("t", sorted(_PSI_FACTORS))
+def test_probable_prime_rejects_every_psi(t):
+    factors = _PSI_FACTORS[t]
+    psi = math.prod(factors)
+    # psi_t fools the first t bases, so only a graded base set catches it
+    assert not any(_mr_composite_witness(psi, a) for a in _FIRST_PRIMES[:t])
+    assert not is_probable_prime(psi)
+    assert all(is_probable_prime(p) for p in factors)
+
+
+@pytest.mark.parametrize("t", sorted(_PSI_FACTORS))
+def test_first_t_bases_agree_with_all_thirteen_below_psi(t):
+    psi = math.prod(_PSI_FACTORS[t])
+    r = random.Random(t)
+    sample = [r.randrange(3, psi) | 1 for _ in range(300)]
+    sample += [psi - 2 * i for i in range(1, 301)]
+    for n in sample:
+        if any(n % p == 0 for p in _FIRST_PRIMES):
+            continue
+        first_t = not any(_mr_composite_witness(n, a) for a in _FIRST_PRIMES[:t])
+        all_13 = not any(_mr_composite_witness(n, a) for a in _FIRST_PRIMES)
+        assert first_t == all_13 == is_probable_prime(n), n
 
 
 def _lucas_lehmer(p):
@@ -169,10 +216,52 @@ def test_euler_phi():
         (97, ((97, 1),)),
         (2**20, ((2, 20),)),
         (999966000289, ((999983, 2),)),  # square of a prime above the trial bound
+        # around the end of the trial-division table (primes below 2^10)
+        (1021 * 1031, ((1021, 1), (1031, 1))),
+        (1031**2, ((1031, 2),)),
+        (1031 * 1033, ((1031, 1), (1033, 1))),
+        (1031**3, ((1031, 3),)),
+        # Carmichael numbers
+        (561, ((3, 1), (11, 1), (17, 1))),
+        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+        (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
+        (2**47 * 3, ((2, 47), (3, 1))),
+        # 48-bit semiprimes with two 24-bit factors
+        (16777183 * 16777213, ((16777183, 1), (16777213, 1))),
+        (8388617 * 16777199, ((8388617, 1), (16777199, 1))),
+        (8388619 * 8388637, ((8388619, 1), (8388637, 1))),
+        # psi_12 passes the first twelve bases
+        (318665857834031151167461, ((399165290221, 1), (798330580441, 1))),
     ],
 )
 def test_factor_trial_examples(n, want):
     assert factor_trial(n).factors == want
+
+
+def _factor_by_smallest_prime_factor(limit):
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+
+    def factors(n):
+        counts = {}
+        while n > 1:
+            p = spf[n]
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+        return tuple(sorted(counts.items()))
+
+    return factors
+
+
+def test_factor_trial_matches_sieve():
+    limit = 10**5
+    factors = _factor_by_smallest_prime_factor(limit)
+    for n in range(1, limit + 1):
+        assert factor_trial(n).factors == factors(n), n
 
 
 @settings(max_examples=200, deadline=None)

@@ -46,6 +46,10 @@ def test_test_command(capsys):
     assert code == 0 and out.startswith("NOT_SQUAREFREE")
     code, out, _ = run_cli(capsys, "test", "prime", "2", "97")
     assert code == 0 and out.startswith("PRIME")
+    # psi_12 passes Miller-Rabin at the twelve bases 2..37; the default
+    # oracle must still factor it
+    code, out, _ = run_cli(capsys, "test", "prime", "2", "318665857834031151167461")
+    assert code == 0 and out.startswith("COMPOSITE")
     code, out, _ = run_cli(capsys, "test", "squarefree", "2", "4")
     assert code == 2 and out.startswith("EXCEPTION")
     # explicit oracle value wins over the default oracle; an impossible one

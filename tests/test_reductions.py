@@ -255,6 +255,15 @@ def test_three_value_exhausts_on_garbage(rng):
         full_factor_three_values(11 * 13, 2, _a(2, 143), 4, _a(4, 143), 2, 999, rng)
 
 
+def test_three_value_reduction_at_psi12():
+    # psi_12 = p * q is a strong pseudoprime to the twelve bases 2..37; the
+    # reduction's primality certificate must not take it for a prime
+    p, q = 399165290221, 798330580441
+    f = Factorization(((p, 1), (q, 1)))
+    args = (p * q, 2, dim_A(2, f), 4, dim_A(4, f), 2, dim_B(2, f))
+    assert full_factor_three_values(*args, random.Random(1)).factors == ((p, 1), (q, 1))
+
+
 def test_outputs_carry_certified_primes(rng):
     got = full_factor_three_values(
         44100, 2, _a(2, 44100), 4, _a(4, 44100), 2, _b(2, 44100), rng
