@@ -10,13 +10,11 @@ reductions that factor N completely from two or three oracle values.
 
 from .arith import (
     Factorization,
-    WeightClass,
     euler_phi,
     factor_trial,
     is_probable_prime,
     kronecker_m3,
     kronecker_m4,
-    weight_class,
 )
 from .bounds import (
     INTERVAL,
@@ -27,14 +25,7 @@ from .bounds import (
     curly_L,
     square_divisor_bounds,
 )
-from .detectors import (
-    DeltaSignReport,
-    PrimalityVerdict,
-    TrichotomyVerdict,
-    delta_sign_classifier,
-    primality_test,
-    squarefree_test,
-)
+from .detectors import Verdict, primality_test, squarefree_test
 from .dimensions import (
     DefaultOracle,
     DimensionOracle,
@@ -58,7 +49,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidWeightError,
 )
-from .multfuncs import StarValues, nu2_star, nu3_star, nu_inf_star, s0_star, star_values
+from .multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
 from .reductions import (
     SharpGuess,
     SquarefullSplit,

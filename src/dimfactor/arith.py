@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidWeightError
 
@@ -52,28 +51,6 @@ def twelve_weight_coefficients(k: int) -> tuple[int, int]:
     if k < 2 or k % 2 != 0:
         raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
     return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]
-
-
-@dataclass(frozen=True)
-class WeightClass:
-    """Weight-dependent coefficients of the closed dimension formulas.
-
-    ``c2`` is +-1/4 according to k mod 4, ``c3`` is 1/3, 0 or -1/3
-    according to k mod 3, and ``delta2`` flags the special weight k = 2.
-    Everything is periodic in k with period 12 except the delta2 flag.
-    """
-
-    k: int
-    c2: Fraction
-    c3: Fraction
-    delta2: int
-
-
-def weight_class(k: int) -> WeightClass:
-    """Coefficients (c2, c3, delta2) for a positive even weight k, as
-    exact rationals read from :func:`twelve_weight_coefficients`."""
-    t2, t3 = twelve_weight_coefficients(k)
-    return WeightClass(k=k, c2=Fraction(t2, 12), c3=Fraction(t3, 12), delta2=1 if k == 2 else 0)
 
 
 # --- primality ---------------------------------------------------------

@@ -22,10 +22,6 @@ EULER_GAMMA = 0.5772156649015329
 INTERVAL = "INTERVAL"
 NO_LARGE_SQUARE_DIVISOR = "NO_LARGE_SQUARE_DIVISOR"
 
-# Default relative widening applied to the floating roots when they are
-# used as a certified enclosure.
-ROOT_MARGIN = 1e-9
-
 
 def compute_T(k: int, N: int, a_value: int) -> tuple[int, int]:
     """The scaled gap T0 = 12(Delta + 1/2 - c2(-4|N) - c3(-3|N)) and its
@@ -102,7 +98,8 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
     When the arccos argument falls below -1 the cubic is nonpositive on
     the whole positive axis, which certifies that no such d exists; an
     argument above +1 cannot happen for truthful oracle values and is
-    reported as an internal inconsistency.
+    reported as an internal inconsistency.  The roots are floats, so
+    past T = 2^1000 they cannot be formed and DomainError is raised.
     """
     if N < 729:
         raise DomainError(f"level must be >= 27^2 = 729, got {N}")
@@ -113,8 +110,13 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
         )
     L = curly_L(N)
     # depth of the arccos argument below 1; forming 1 - depth directly
-    # would round away the small-angle information
-    depth = 486.0 * (k - 1) * N / (L * L * float(t) ** 3)
+    # would round away the small-angle information.  The ratio N / t^3 is
+    # divided exactly, since t^3 leaves float range long before N does;
+    # a ratio past float range is far above 2.
+    try:
+        depth = 486 * (k - 1) * N / t**3 / (L * L)
+    except OverflowError:
+        depth = math.inf
     if depth < 0.0:
         raise InternalInconsistencyError(
             "arccos argument above 1 cannot occur for truthful oracle values"
@@ -123,6 +125,9 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
         return BoundsReport(
             k=k, n=N, T0=t0, T=t, curly_L=L, certificate=NO_LARGE_SQUARE_DIVISOR
         )
+    # x0 < L*t/6, so for t below 2^1000 every root is a finite float
+    if t.bit_length() > 1000:
+        raise DomainError("T is past float range; the interval roots cannot be formed")
     # acos(1 - depth) without cancellation
     theta = 2.0 * math.asin(math.sqrt(depth / 2.0))
     scale = L * float(t) / 9.0

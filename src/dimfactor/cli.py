@@ -22,7 +22,7 @@ from .arith import factor_trial
 from .bounds import INTERVAL, square_divisor_bounds
 from .detectors import EXCEPTION, primality_test, squarefree_test
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
-from .errors import DimfactorError, DomainError, FactoringFailureError, InvalidWeightError
+from .errors import DimfactorError, InvalidWeightError
 from .reductions import factor_squarefull_two_values, full_factor_three_values
 from .sweeps import MAX_SWEEP_HI, check_sweep, primality_sweep, trichotomy_sweep
 
@@ -343,15 +343,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
+    except (UsageError, InvalidWeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidWeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, FactoringFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except DimfactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

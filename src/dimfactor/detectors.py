@@ -2,18 +2,20 @@
 count, primality from one newform dimension.
 
 Both tests compare a closed-form quantity (computable from the level's
-residues alone) against a single oracle value.  They never see the
-factorization of the level; for the handful of small levels where the
-characterizations do not apply, constant lookup tables give the answer.
+residues alone) against a single oracle value and return a
+:class:`Verdict`.  They never see the factorization of the level; for
+the handful of small levels where the characterizations do not apply,
+constant lookup tables give the answer.  Each characterization has one
+exception catalogue, a dict from (k, N) to the sign of the gap there,
+which the tags and the range sweeps read as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import twelve_weight_coefficients
-from .dimensions import dim_G, level_one_newform_dim, twelve_G
+from .dimensions import level_one_newform_dim, twelve_G
 from .errors import InvalidWeightError
 
 MAX_WEIGHT = 1 << 20  # public-API cap; keeps G polynomial in the input length
@@ -32,17 +34,19 @@ PRIME = "PRIME"
 COMPOSITE = "COMPOSITE"
 EXCEPTION = "EXCEPTION"
 
-# The two weight/level pairs where the squarefree trichotomy degenerates.
-SQUAREFREE_EXCEPTIONS = {(2, 4): "k2n4-reversed", (2, 9): "k2n9-equal"}
-_SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False, 9: False}
-
-# Composite levels at which the primality comparison reads as equality.
-PRIMALITY_EQUALITY_EXCEPTIONS = {(4, 6)} | {
-    (2, n) for n in (6, 9, 10, 14, 15, 21, 26, 35, 39, 65, 91)
+# The exception catalogues: each maps a (k, N) pair where a
+# characterization does not apply to the sign the gap takes there for a
+# truthful oracle value, 0 (equal although N is not squarefree, or not
+# prime) or -1 (reversed).  Detectors and sweeps both read them.
+SQUAREFREE_EXCEPTIONS = {(2, 4): -1, (2, 9): 0}
+PRIMALITY_EXCEPTIONS = {(2, 4): -1, (4, 6): 0} | {
+    (2, n): 0 for n in (6, 9, 10, 14, 15, 21, 26, 35, 39, 65, 91)
 }
-PRIMALITY_REVERSED_EXCEPTIONS = {(2, 4)}
-_PRIMES_BELOW_92 = frozenset(
-    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+
+# Levels below each characterization's threshold, answered by lookup.
+_SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False, 9: False}
+_PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(
+    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89), True
 )
 
 
@@ -53,144 +57,79 @@ def _check_weight(k: int, max_k: int) -> None:
 
 
 @dataclass(frozen=True)
-class TrichotomyVerdict:
-    relation: str  # EQUAL / G_GREATER / G_LESS
-    conclusion: str  # SQUAREFREE / NOT_SQUAREFREE / EXCEPTION
+class Verdict:
+    relation: str  # EQUAL, G_GREATER / G_LESS, or H_GREATER / H_LESS
+    conclusion: str  # SQUAREFREE / NOT_SQUAREFREE, PRIME / COMPOSITE, or EXCEPTION
     exception_tag: str | None = None
     suspicious: str | None = None
 
 
-def squarefree_test(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> TrichotomyVerdict:
+def _verdict(k, N, gap12, relations, conclusions, catalogue, small, names) -> Verdict:
+    """The verdict from the 12-scaled gap between the closed form and the
+    oracle value.  ``relations`` names the gap signs 0, +1 and -1,
+    ``conclusions`` the outcomes of a zero and a positive gap, and
+    ``names`` the oracle value and the closed form in messages.  A
+    catalogued pair is an EXCEPTION whose gap must take the catalogued
+    sign; a level in ``small`` is answered from that table; above it the
+    characterization decides, and only a negative gap is impossible."""
+    sign = (gap12 > 0) - (gap12 < 0)
+    relation = relations[sign]
+    expected = catalogue.get((k, N))
+    if expected is not None:
+        tag = f"k{k}n{N}-{'equal' if expected == 0 else 'reversed'}"
+        suspicious = None
+        if sign != expected:
+            suspicious = f"oracle value inconsistent at exception pair (k={k}, N={N})"
+        return Verdict(relation, EXCEPTION, tag, suspicious)
+    holds = small.get(N)
+    if holds is not None:
+        suspicious = None
+        if sign != (0 if holds else 1):
+            suspicious = f"oracle value for (k={k}, N={N}) contradicts the known comparison"
+        return Verdict(relation, conclusions[not holds], None, suspicious)
+    suspicious = None
+    if sign < 0:
+        value, closed = names
+        suspicious = f"{value}({k},{N}) > {closed}({k},{N}) is impossible for a truthful oracle"
+    return Verdict(relation, conclusions[sign != 0], None, suspicious)
+
+
+def squarefree_test(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> Verdict:
     """Decide squarefreeness of N from the oracle value a_value = A(k, N).
 
     For N >= 10 the verdict is SQUAREFREE exactly when the closed form
     matches the oracle value.  For 2 <= N <= 9 a lookup table answers,
-    with the two catalogued exception pairs tagged.  A comparison sign
-    the trichotomy forbids is reported as a suspicious-oracle warning,
-    not a hard failure.
+    with the two pairs of SQUAREFREE_EXCEPTIONS tagged.  A comparison
+    sign the trichotomy forbids is reported as a suspicious-oracle
+    warning, not a hard failure.
     """
     if N < 2:
         raise ValueError(f"level must be >= 2, got {N}")
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
     _check_weight(k, max_k)
-    g12 = twelve_G(k, N)
-    diff = g12 - 12 * a_value
-    relation = EQUAL if diff == 0 else (G_GREATER if diff > 0 else G_LESS)
-
-    tag = SQUAREFREE_EXCEPTIONS.get((k, N))
-    if tag is not None:
-        expected = G_LESS if N == 4 else EQUAL
-        suspicious = None
-        if relation != expected:
-            suspicious = f"oracle value inconsistent at exception pair (k={k}, N={N})"
-        return TrichotomyVerdict(relation, EXCEPTION, tag, suspicious)
-
-    if N < 10:
-        sf = _SQUAREFREE_SMALL[N]
-        expected = EQUAL if sf else G_GREATER
-        suspicious = None
-        if relation != expected:
-            suspicious = (
-                f"oracle value for (k={k}, N={N}) contradicts the known comparison"
-            )
-        return TrichotomyVerdict(relation, SQUAREFREE if sf else NOT_SQUAREFREE, None, suspicious)
-
-    suspicious = None
-    if relation == G_LESS:
-        suspicious = f"A({k},{N}) > G({k},{N}) is impossible for a truthful oracle"
-    conclusion = SQUAREFREE if relation == EQUAL else NOT_SQUAREFREE
-    return TrichotomyVerdict(relation, conclusion, None, suspicious)
+    return _verdict(
+        k, N, twelve_G(k, N) - 12 * a_value,
+        (EQUAL, G_GREATER, G_LESS), (SQUAREFREE, NOT_SQUAREFREE),
+        SQUAREFREE_EXCEPTIONS, _SQUAREFREE_SMALL, ("A", "G"),
+    )
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
-    relation: str  # EQUAL / H_GREATER / H_LESS
-    conclusion: str  # PRIME / COMPOSITE / EXCEPTION
-    exception_tag: str | None = None
-    suspicious: str | None = None
-
-
-def primality_test(N: int, k: int, b_value: int, max_k: int = MAX_WEIGHT) -> PrimalityVerdict:
+def primality_test(N: int, k: int, b_value: int, max_k: int = MAX_WEIGHT) -> Verdict:
     """Decide primality of N from the oracle value b_value = B(k, N).
 
     For N >= 92 the verdict is PRIME exactly when dim_H(k, N) equals the
-    oracle value.  Below 92 a lookup answers, with the catalogued
-    equality-at-composite pairs (and the reversed pair (2, 4)) tagged as
-    exceptions.
+    oracle value.  Below 92 a lookup answers, with the pairs of
+    PRIMALITY_EXCEPTIONS (equality at a composite level, and the reversed
+    pair (2, 4)) tagged as exceptions.
     """
     if N < 2:
         raise ValueError(f"level must be >= 2, got {N}")
     if b_value < 0:
         raise ValueError("oracle values are nonnegative")
     _check_weight(k, max_k)
-    h12 = twelve_G(k, N) - 12 * level_one_newform_dim(k)
-    diff = h12 - 12 * b_value
-    relation = EQUAL if diff == 0 else (H_GREATER if diff > 0 else H_LESS)
-
-    if (k, N) in PRIMALITY_EQUALITY_EXCEPTIONS:
-        suspicious = None
-        if relation != EQUAL:
-            suspicious = f"oracle value inconsistent at exception pair (k={k}, N={N})"
-        return PrimalityVerdict(relation, EXCEPTION, f"k{k}n{N}-equal", suspicious)
-    if (k, N) in PRIMALITY_REVERSED_EXCEPTIONS:
-        suspicious = None
-        if relation != H_LESS:
-            suspicious = f"oracle value inconsistent at exception pair (k={k}, N={N})"
-        return PrimalityVerdict(relation, EXCEPTION, f"k{k}n{N}-reversed", suspicious)
-
-    if N < 92:
-        is_prime = N in _PRIMES_BELOW_92
-        expected = EQUAL if is_prime else H_GREATER
-        suspicious = None
-        if relation != expected:
-            suspicious = (
-                f"oracle value for (k={k}, N={N}) contradicts the known comparison"
-            )
-        return PrimalityVerdict(relation, PRIME if is_prime else COMPOSITE, None, suspicious)
-
-    suspicious = None
-    if relation == H_LESS:
-        suspicious = f"B({k},{N}) > H({k},{N}) is impossible for a truthful oracle"
-    conclusion = PRIME if relation == EQUAL else COMPOSITE
-    return PrimalityVerdict(relation, conclusion, None, suspicious)
-
-
-@dataclass(frozen=True)
-class DeltaSignReport:
-    k: int
-    n: int
-    delta: Fraction
-    sign: int  # sign of G - a_value
-    bullet: str  # which trichotomy case the sign lands in
-    exception_pair: bool
-    suspicious: str | None = None
-
-
-def delta_sign_classifier(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> DeltaSignReport:
-    """Report the sign of G - a_value and the trichotomy case it matches.
-
-    Zero lands in the equality case (squarefree levels, plus the one
-    catalogued equal pair), negative in the single reversed pair, and
-    positive in the strict-gap case.  A negative sign anywhere but the
-    reversed pair is flagged suspicious.
-    """
-    if N < 2:
-        raise ValueError(f"level must be >= 2, got {N}")
-    _check_weight(k, max_k)
-    delta = dim_G(k, N) - a_value
-    sign = (delta > 0) - (delta < 0)
-    exception_pair = (k, N) in SQUAREFREE_EXCEPTIONS
-    if sign == 0:
-        bullet = "equality"
-    elif sign < 0:
-        bullet = "reversed"
-    else:
-        bullet = "strict-gap"
-    suspicious = None
-    if sign < 0 and (k, N) != (2, 4):
-        suspicious = "negative gap outside (k=2, N=4) is impossible for a truthful oracle"
-    return DeltaSignReport(
-        k=k, n=N, delta=delta, sign=sign, bullet=bullet,
-        exception_pair=exception_pair, suspicious=suspicious,
+    return _verdict(
+        k, N, twelve_G(k, N) - 12 * level_one_newform_dim(k) - 12 * b_value,
+        (EQUAL, H_GREATER, H_LESS), (PRIME, COMPOSITE),
+        PRIMALITY_EXCEPTIONS, _PRIME_SMALL, ("B", "H"),
     )

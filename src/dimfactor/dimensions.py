@@ -7,9 +7,11 @@ closed form scaled by 12, at four multiplicative values (see there).
 ``dim_G`` and ``dim_H`` take a bare integer level because they are
 computable from residues alone, and return exact Fractions; ``dim_A``,
 ``dim_B`` and ``dim_delta`` take a :class:`Factorization` because they
-genuinely need one.  Detectors and factoring reductions consume these
-numbers only through :class:`DimensionOracle` values, never by factoring
-the level themselves.
+genuinely need one.  ``dim_delta`` is the squarefree gap G - A as one
+exact Fraction; its sign at the levels where the trichotomy degenerates
+is catalogued in ``detectors.SQUAREFREE_EXCEPTIONS``.  Detectors and
+factoring reductions consume these numbers only through
+:class:`DimensionOracle` values, never by factoring the level themselves.
 """
 
 from __future__ import annotations
@@ -19,18 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (
-    Factorization,
-    factor_trial,
-    is_probable_prime,
-    kronecker_m3,
-    kronecker_m4,
-    weight_class,
-)
+from .arith import Factorization, factor_trial, is_probable_prime, kronecker_m3, kronecker_m4
 from .errors import InternalInconsistencyError
-from .multfuncs import (
-    nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local, star_local, twelve_combination,
-)
+from .multfuncs import sharp_local, star_local, twelve_combination
 
 _LEVEL_ONE = Factorization(())
 
@@ -102,25 +95,6 @@ def dim_delta(k: int, f: Factorization) -> Fraction:
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
     return dim_G(k, n) - dim_A(k, f)
-
-
-def delta_decomposition(k: int, f: Factorization) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Diagnostic four-term split of the gap:
-
-    (k-1)/12 N (1 - s0*) + (nu_inf* - 1)/2
-        + c2 ((-4|N) - nu2*) + c3 ((-3|N) - nu3*).
-
-    The terms sum exactly to :func:`dim_delta`.
-    """
-    n = f.value()
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    wc = weight_class(k)
-    t1 = Fraction(k - 1, 12) * n * (1 - s0_star(f))
-    t2 = Fraction(nu_inf_star(f) - 1, 2)
-    t3 = wc.c2 * (kronecker_m4(n) - nu2_star(f))
-    t4 = wc.c3 * (kronecker_m3(n) - nu3_star(f))
-    return t1, t2, t3, t4
 
 
 def dim_B(k: int, f: Factorization) -> int:
@@ -225,26 +199,22 @@ class DefaultOracle(DimensionOracle):
     memo cache is guarded by a lock so concurrent queries are safe.
     """
 
-    def __init__(self, cache: bool = True):
-        self._cache: dict[tuple[str, int, int], OracleSample] | None = (
-            {} if cache else None
-        )
+    def __init__(self):
+        self._cache: dict[tuple[str, int, int], OracleSample] = {}
         self._lock = threading.Lock()
 
     def _answer(self, kind: str, k: int, n: int) -> OracleSample:
         if n < 1:
             raise ValueError(f"level must be positive, got {n}")
-        if self._cache is not None:
-            with self._lock:
-                hit = self._cache.get((kind, k, n))
-            if hit is not None:
-                return hit
+        with self._lock:
+            hit = self._cache.get((kind, k, n))
+        if hit is not None:
+            return hit
         f = factor_trial(n)
         value = dim_A(k, f) if kind == "A" else dim_B(k, f)
         sample = OracleSample(kind=kind, k=k, n=n, value=value)
-        if self._cache is not None:
-            with self._lock:
-                self._cache[(kind, k, n)] = sample
+        with self._lock:
+            self._cache[(kind, k, n)] = sample
         return sample
 
     def query_A(self, k: int, n: int) -> OracleSample:

@@ -15,7 +15,6 @@ signature keeps that dependency explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, kronecker_m3, kronecker_m4, twelve_weight_coefficients
@@ -105,24 +104,3 @@ def nu3_star(f: Factorization) -> int:
     -(-3|N/9) when 9 | N with N/9 squarefree, otherwise 0."""
     return _star_product(f, 3)
 
-
-@dataclass(frozen=True)
-class StarValues:
-    """Bundle of the four starred values at one level."""
-
-    s0: Fraction
-    nu_inf: int
-    nu2: int
-    nu3: int
-
-    def __post_init__(self):
-        if not 0 < self.s0 <= 1:
-            raise ValueError("s0 must lie in (0, 1]")
-        if self.nu_inf < 1:
-            raise ValueError("nu_inf must be a positive integer")
-
-
-def star_values(f: Factorization) -> StarValues:
-    return StarValues(
-        s0=s0_star(f), nu_inf=nu_inf_star(f), nu2=nu2_star(f), nu3=nu3_star(f)
-    )

@@ -4,9 +4,12 @@ A sweep compares the sign pattern of the closed-form-vs-oracle gap over a
 whole level range with what the squarefree and primality
 characterizations predict, using the exact integer kernel tables: the
 starred tables in squarefree mode, the sharp tables in primality mode,
-each sieved over the window alone unless tables are passed in.
-Violations must be empty; the catalogued exception pairs are reported
-separately.
+each sieved over the window alone unless tables are passed in.  Both
+modes run one comparison: the gap's sign must be 0 where the
+characterization holds, +1 elsewhere, and at each pair of the detectors'
+catalogue (``SQUAREFREE_EXCEPTIONS`` or ``PRIMALITY_EXCEPTIONS``) the
+sign catalogued there.  Violations must be empty; the catalogued pairs
+in range are reported separately.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import PRIMALITY_EQUALITY_EXCEPTIONS, PRIMALITY_REVERSED_EXCEPTIONS
+from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
     SharpTables,
@@ -63,6 +66,26 @@ def check_sweep(lo: int, hi: int, ks) -> None:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 
 
+def _compare(report: SweepReport, holds: np.ndarray, gap, catalogue) -> SweepReport:
+    """Compare sign(gap(k)) over the report's levels with what the
+    characterization predicts, for every weight of the report: 0 where
+    ``holds`` (N squarefree, or prime), +1 elsewhere, and the catalogued
+    sign at each pair of ``catalogue`` in range."""
+    lo, hi = report.lo, report.hi
+    for k in report.ks:
+        got = np.sign(gap(k))
+        expected = np.where(holds, 0, 1)
+        for (kk, n), sign in catalogue.items():
+            if kk == k and lo <= n <= hi:
+                expected[n - lo] = sign
+                report.exceptions_observed.append((k, n))
+        bad = np.flatnonzero(got != expected)
+        for i in bad:
+            report.violations.append((k, lo + int(i), int(expected[i]), int(got[i])))
+        report.checked += hi - lo + 1
+    return report
+
+
 def trichotomy_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
@@ -78,24 +101,10 @@ def trichotomy_sweep(
     idx = np.arange(lo, hi + 1, dtype=np.int64)
     squarefree = tables.mu[lo - tables.lo : hi - tables.lo + 1] != 0
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
-    for k in ks:
-        got = np.sign(twelve_G(k, idx) - twelve_A(k, tables, lo, hi))
-        expected = np.where(squarefree, 0, 1)
-        if k == 2:
-            if lo <= 9 <= hi:
-                expected[9 - lo] = 0
-            if lo <= 4 <= hi:
-                expected[4 - lo] = -1
-        bad = np.flatnonzero(got != expected)
-        for i in bad:
-            n = int(idx[i])
-            report.violations.append((k, n, int(expected[i]), int(got[i])))
-        if k == 2:
-            for n in (4, 9):
-                if lo <= n <= hi:
-                    report.exceptions_observed.append((k, n))
-        report.checked += hi - lo + 1
-    return report
+    return _compare(
+        report, squarefree,
+        lambda k: twelve_G(k, idx) - twelve_A(k, tables, lo, hi), SQUAREFREE_EXCEPTIONS,
+    )
 
 
 def _sharp_window(lo: int, hi: int, tables: StarTables | None) -> SharpTables:
@@ -124,23 +133,9 @@ def primality_sweep(
     idx = np.arange(lo, hi + 1, dtype=np.int64)
     prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
-    for k in ks:
-        got = np.sign(_twelve_H_minus_B(k, idx, sharp))
-        expected = np.where(prime, 0, 1)
-        for kk, n in PRIMALITY_EQUALITY_EXCEPTIONS:
-            if kk == k and lo <= n <= hi:
-                expected[n - lo] = 0
-                report.exceptions_observed.append((k, n))
-        for kk, n in PRIMALITY_REVERSED_EXCEPTIONS:
-            if kk == k and lo <= n <= hi:
-                expected[n - lo] = -1
-                report.exceptions_observed.append((k, n))
-        bad = np.flatnonzero(got != expected)
-        for i in bad:
-            n = int(idx[i])
-            report.violations.append((k, n, int(expected[i]), int(got[i])))
-        report.checked += hi - lo + 1
-    return report
+    return _compare(
+        report, prime, lambda k: _twelve_H_minus_B(k, idx, sharp), PRIMALITY_EXCEPTIONS
+    )
 
 
 def equality_pairs_at_composites(

@@ -14,8 +14,9 @@ from dimfactor.arith import (
     is_probable_prime,
     kronecker_m3,
     kronecker_m4,
-    weight_class,
+    twelve_weight_coefficients,
 )
+from dimfactor.dimensions import level_one_newform_dim
 from dimfactor.errors import InvalidWeightError
 
 
@@ -60,22 +61,22 @@ def test_kronecker_periodic(n):
     ],
 )
 def test_weight_class_values(k, c2, c3, d2):
-    wc = weight_class(k)
-    assert (wc.c2, wc.c3, wc.delta2) == (c2, c3, d2)
+    assert twelve_weight_coefficients(k) == (12 * c2, 12 * c3)
+    # delta2 is the k = 2 correction of B(k, 1) = (k-7)/12 + c2 + c3 + delta2
+    assert level_one_newform_dim(k) == Fraction(k - 7, 12) + c2 + c3 + d2
 
 
 @given(st.integers(1, 500).map(lambda i: 2 * i))
 def test_weight_class_period_twelve(k):
-    a, b = weight_class(k), weight_class(k + 12)
-    assert (a.c2, a.c3) == (b.c2, b.c3)
-    assert a.delta2 == (1 if k == 2 else 0)
-    assert b.delta2 == 0
+    assert twelve_weight_coefficients(k) == twelve_weight_coefficients(k + 12)
+    # B(k, 1) grows by one per period, less the delta2 of k = 2
+    assert level_one_newform_dim(k + 12) - level_one_newform_dim(k) == (0 if k == 2 else 1)
 
 
 @pytest.mark.parametrize("k", [0, -2, 3, 7, 1])
 def test_weight_class_rejects_bad_weights(k):
     with pytest.raises(InvalidWeightError):
-        weight_class(k)
+        twelve_weight_coefficients(k)
 
 
 # --- primality ----------------------------------------------------------

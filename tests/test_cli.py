@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,31 @@ def test_bounds_command(capsys):
     assert code == 1 and "729" in err
     code, out, _ = run_cli(capsys, "bounds", "2", "1009", "--json")
     assert json.loads(out)["certificate"] == "NO_LARGE_SQUARE_DIVISOR"
+
+
+@pytest.mark.parametrize(
+    "n, value, code, certificate",
+    [
+        # t^3 is past float range, but the depth is formed exactly
+        (10**120 + 1, 0, 0, "INTERVAL"),
+        # t itself is past float range: no roots, one error line
+        (10**400 + 1, 0, 1, None),
+        # N / t^3 is past float range, so the depth is far above 2
+        (10**400 + 1, (10**400 + 1) // 12, 0, "NO_LARGE_SQUARE_DIVISOR"),
+    ],
+    ids=["1e120-interval", "1e400-roots-out-of-range", "1e400-no-divisor"],
+)
+def test_bounds_at_levels_past_float_range(capsys, n, value, code, certificate):
+    got, out, err = run_cli(capsys, "bounds", "2", str(n), str(value), "--json")
+    assert got == code
+    assert "Traceback" not in err
+    if certificate is None:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        payload = json.loads(out)
+        assert payload["certificate"] == certificate and err == ""
+        if certificate == "INTERVAL":
+            assert 0 < payload["x1"] < 27 and payload["x0"] > math.isqrt(n)
 
 
 def test_factor_squarefull(capsys):
@@ -305,3 +331,22 @@ def test_argv_fuzz_keeps_exit_code_contract(capsys, argv):
     assert "Traceback" not in err
     if "--json" in argv and (out or code in (0, 2)):
         json.loads(out)
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/spans.py wraps these attributes by name once the CLI is
+    # imported; a missing one makes every traced benchmark run fail
+    import importlib.util
+
+    import dimfactor.cli  # noqa: F401  (imports every traced module)
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(root, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attr in spans.TARGETS:
+        assert module in sys.modules, module
+        assert callable(getattr(sys.modules[module], attr, None)), (module, attr)

@@ -10,10 +10,8 @@ from dimfactor.detectors import (
     H_GREATER,
     H_LESS,
     NOT_SQUAREFREE,
-    PRIMALITY_EQUALITY_EXCEPTIONS,
     PRIME,
     SQUAREFREE,
-    delta_sign_classifier,
     primality_test,
     squarefree_test,
 )
@@ -81,18 +79,39 @@ def test_primality_suspicious_oracle():
     assert v.relation == H_LESS and v.suspicious
 
 
-def test_delta_sign_examples():
-    r = delta_sign_classifier(9, 2, _a(2, 9))
-    assert r.sign == 0 and r.bullet == "equality" and r.exception_pair
-    r = delta_sign_classifier(4, 2, _a(2, 4))
-    assert r.sign == -1 and r.bullet == "reversed" and r.exception_pair
-    r = delta_sign_classifier(4, 4, _a(4, 4))
-    assert r.sign == 1 and r.bullet == "strict-gap" and not r.exception_pair
-    r = delta_sign_classifier(30, 2, _a(2, 30))
-    assert r.sign == 0 and r.bullet == "equality" and not r.exception_pair
-    # negative sign off the reversed pair can only come from a lying oracle
-    r = delta_sign_classifier(30, 2, 10**6)
-    assert r.sign == -1 and r.suspicious
+# Every catalogued pair as the paper states it: detector, oracle kind,
+# (k, N), exception tag and the relation a truthful oracle value gives.
+_CATALOGUE = [
+    (squarefree_test, _a, (2, 4), "k2n4-reversed", G_LESS),
+    (squarefree_test, _a, (2, 9), "k2n9-equal", EQUAL),
+    (primality_test, _b, (2, 4), "k2n4-reversed", H_LESS),
+    (primality_test, _b, (4, 6), "k4n6-equal", EQUAL),
+] + [
+    (primality_test, _b, (2, n), f"k2n{n}-equal", EQUAL)
+    for n in (6, 9, 10, 14, 15, 21, 26, 35, 39, 65, 91)
+]
+
+
+@pytest.mark.parametrize(
+    "test,value,pair,tag,relation",
+    _CATALOGUE,
+    ids=[f"{t.__name__}-k{k}n{n}" for t, _, (k, n), _, _ in _CATALOGUE],
+)
+def test_exception_catalogue_pinned(test, value, pair, tag, relation):
+    k, n = pair
+    truth = value(k, n)
+    v = test(n, k, truth)
+    assert (v.exception_tag, v.relation, v.conclusion) == (tag, relation, EXCEPTION)
+    assert v.suspicious is None
+    # a value off by one is flagged exactly when it moves the gap off the
+    # catalogued sign: always at an equal pair, never above a reversed one
+    # (whose truthful value is 0, so only the value 1 is tried there)
+    for off in (truth - 1, truth + 1):
+        if off >= 0:
+            lie = test(n, k, off)
+            assert (lie.exception_tag, lie.conclusion) == (tag, EXCEPTION)
+            assert (lie.suspicious is None) == (lie.relation == relation), off
+            assert (lie.suspicious is None) == (relation != EQUAL), off
 
 
 def test_weight_cap():
@@ -144,12 +163,13 @@ def test_primality_soundness_sweep():
     limit = 100_000
     tables = kernels.star_tables(limit)
     is_prime = _prime_flags(limit)
+    catalogued = {pair for test, _, pair, _, _ in _CATALOGUE if test is primality_test}
     for k in (2, 4, 6, 12):
         dims = kernels.dimension_tables(k, tables)
         for n in range(2, limit + 1):
             v = primality_test(n, k, int(dims.B12[n]) // 12)
             truly_prime = bool(is_prime[n])
-            if (k, n) in PRIMALITY_EQUALITY_EXCEPTIONS or (k, n) == (2, 4):
+            if (k, n) in catalogued:
                 assert v.conclusion == EXCEPTION, (k, n)
             else:
                 assert (v.conclusion == PRIME) == truly_prime, (k, n)

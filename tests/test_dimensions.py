@@ -12,13 +12,11 @@ from dimfactor.arith import (
     is_probable_prime,
     kronecker_m3,
     kronecker_m4,
-    weight_class,
 )
 from dimfactor.dimensions import (
     DefaultOracle,
     OracleSample,
     StaticOracle,
-    delta_decomposition,
     dim_A,
     dim_B,
     dim_G,
@@ -96,13 +94,6 @@ def test_delta_worked_family():
     for e_part, p in [(13, 31), (1, 5), (25 - 12, 7), (37, 11), (61, 101)]:
         f = factor_trial(e_part * p * p)
         assert dim_delta(2, f) == Fraction(e_part + 6 * p - 19, 12)
-
-
-def test_delta_decomposition_sums_to_delta():
-    for n in (4, 9, 12, 72, 700, 12493):
-        f = factor_trial(n)
-        for k in (2, 4, 12):
-            assert sum(delta_decomposition(k, f)) == dim_delta(k, f)
 
 
 def test_delta_zero_on_squarefree():
@@ -235,18 +226,24 @@ def test_H_equals_B_at_primes():
             assert dim_H(k, p) == dim_B(k, factor_trial(p)), (k, p)
 
 
+def _weight_fractions(k):
+    """c2, c3 and delta2 of the rational closed forms, read off k mod 4,
+    k mod 3 and k here rather than from the package's 12-scaled table."""
+    return Fraction(1 if k % 4 == 0 else -1, 4), Fraction((1, 0, -1)[k % 3], 3), int(k == 2)
+
+
 def _rational_reference(k, f):
     """G, H, A and B(k, 1) from the rational closed forms, with the
-    weight_class Fractions and the starred functions of N: the
-    cross-check on the 12-scaled integer form the package evaluates."""
-    n, wc = f.value(), weight_class(k)
-    b1 = Fraction(k - 7, 12) + wc.c2 + wc.c3 + wc.delta2
-    g = Fraction(k - 1, 12) * n - Fraction(1, 2) + wc.c2 * kronecker_m4(n) + wc.c3 * kronecker_m3(n)
+    weight Fractions and the starred functions of N: the cross-check on
+    the 12-scaled integer form the package evaluates."""
+    n, (c2, c3, d2) = f.value(), _weight_fractions(k)
+    b1 = Fraction(k - 7, 12) + c2 + c3 + d2
+    g = Fraction(k - 1, 12) * n - Fraction(1, 2) + c2 * kronecker_m4(n) + c3 * kronecker_m3(n)
     a = b1 if n == 1 else (
         Fraction(k - 1, 12) * n * s0_star(f)
         - Fraction(nu_inf_star(f), 2)
-        + wc.c2 * nu2_star(f)
-        + wc.c3 * nu3_star(f)
+        + c2 * nu2_star(f)
+        + c3 * nu3_star(f)
     )
     return g, g - b1, a, b1
 
@@ -262,11 +259,11 @@ def test_integer_forms_match_rational_reference(rng):
             assert (dim_G(k, n), dim_H(k, n), got_a) == (g, h, a), (k, n)
             assert level_one_newform_dim(k) == b1, k
             if n >= 2:
-                wc = weight_class(k)
+                c2, c3, _ = _weight_fractions(k)
                 t0, _ = compute_T(k, n, got_a)
                 assert type(t0) is int
                 assert t0 == 12 * (
-                    g - a + Fraction(1, 2) - wc.c2 * kronecker_m4(n) - wc.c3 * kronecker_m3(n)
+                    g - a + Fraction(1, 2) - c2 * kronecker_m4(n) - c3 * kronecker_m3(n)
                 ), (k, n)
 
 
@@ -327,25 +324,23 @@ def test_squarefree_closed_forms():
     # closed form built from the per-prime sharp values.
     primes = _sieve_primes(500)
     for k in range(2, 32, 2):
-        wc = weight_class(k)
-        d2 = 1 if k == 2 else 0
+        c2, c3, d2 = _weight_fractions(k)
         b1 = level_one_newform_dim(k)
-        assert b1 == Fraction(k - 7, 12) + wc.c2 + wc.c3 + d2
+        assert b1 == Fraction(k - 7, 12) + c2 + c3 + d2
         for p in primes:
             y, z = kronecker_m4(p) - 1, kronecker_m3(p) - 1
-            want = Fraction(k - 1, 12) * (p - 1) + wc.c2 * y + wc.c3 * z - d2
+            want = Fraction(k - 1, 12) * (p - 1) + c2 * y + c3 * z - d2
             assert dim_B(k, factor_trial(p)) == want, (k, p)
     for k in range(2, 32, 2):
-        wc = weight_class(k)
-        d2 = 1 if k == 2 else 0
+        c2, c3, d2 = _weight_fractions(k)
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
                 yp, zp = kronecker_m4(p) - 1, kronecker_m3(p) - 1
                 yq, zq = kronecker_m4(q) - 1, kronecker_m3(q) - 1
                 want = (
                     Fraction(k - 1, 12) * (p - 1) * (q - 1)
-                    + wc.c2 * yp * yq
-                    + wc.c3 * zp * zq
+                    + c2 * yp * yq
+                    + c3 * zp * zq
                     + d2
                 )
                 assert dim_B(k, Factorization(((p, 1), (q, 1)))) == want, (k, p, q)
@@ -374,13 +369,12 @@ def test_sharp_reconstruction_on_squarefull_levels():
             ys *= sv.y
             zs *= sv.z
         for k in (2, 4, 6, 12, 14):
-            wc = weight_class(k)
-            d2 = 1 if k == 2 else 0
+            c2, c3, d2 = _weight_fractions(k)
             want = (
                 Fraction(k - 1, 12) * xs
                 - Fraction(ws, 2)
-                + wc.c2 * ys
-                + wc.c3 * zs
+                + c2 * ys
+                + c3 * zs
                 + d2 * f.mobius()
             )
             assert dim_B(k, f) == want, (k, pairs)
@@ -417,7 +411,7 @@ def test_default_oracle_matches_direct_formulas(oracle):
 
 
 def test_default_oracle_cache_consistency():
-    oracle = DefaultOracle(cache=True)
+    oracle = DefaultOracle()
     first = oracle.query_B(2, 561)
     again = oracle.query_B(2, 561)
     assert first == again
