@@ -28,9 +28,7 @@ from .bounds import (
 from .detectors import Verdict, primality_test, squarefree_test
 from .dimensions import (
     DefaultOracle,
-    DimensionOracle,
     OracleSample,
-    SharpPrimePowerValues,
     StaticOracle,
     dim_A,
     dim_B,
@@ -38,8 +36,6 @@ from .dimensions import (
     dim_H,
     dim_delta,
     level_one_newform_dim,
-    sharp_s0_on_squarefull,
-    sharp_values_at_prime_power,
 )
 from .errors import (
     DimfactorError,

@@ -9,9 +9,9 @@ the least strong pseudoprime to the first t prime bases, the first t
 primes decide it exactly (seven bases below 2^48, thirteen, 2..41, below
 psi_13 ~ 3.3e24); from psi_13 on the test is probabilistic.  The
 factorizer at the bottom trial-divides by the primes below 2^10 and hands
-any larger cofactor to Pollard-Brent rho.  It is ground-truth plumbing
-for tests and the default dimension oracle; the reduction algorithms
-never call it.
+any larger cofactor to Pollard-Brent rho, within a fixed step budget.  It
+is ground-truth plumbing for tests and the default dimension oracle; the
+reduction algorithms never call it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidWeightError
+from .errors import DomainError, InvalidWeightError
 
 _KRON_M4 = (0, 1, 0, -1)  # indexed by n mod 4
 _KRON_M3 = (0, 1, -1)     # indexed by n mod 3
@@ -186,7 +186,8 @@ def euler_phi(f: Factorization) -> int:
 # --- ground-truth factorizer -------------------------------------------
 
 
-def _primes_below(limit: int) -> tuple[int, ...]:
+def primes_below(limit: int) -> tuple[int, ...]:
+    """The primes p < limit, by the sieve of Eratosthenes (limit >= 1)."""
     flags = bytearray([1]) * limit
     flags[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit - 1) + 1):
@@ -195,12 +196,21 @@ def _primes_below(limit: int) -> tuple[int, ...]:
     return tuple(p for p in range(limit) if flags[p])
 
 
-_TRIAL_PRIMES = _primes_below(1 << 10)
+_TRIAL_PRIMES = primes_below(1 << 10)
+
+# Most steps y -> y^2 + c that rho takes on one cofactor, over all its
+# restarts, not counting the at most 128 it replays to back-track: about
+# 2 s on a 160-bit cofactor.  Rho needs about sqrt(p) steps to find a
+# prime factor p: a few thousand for every level below 2^48, 841,086 for
+# psi_12 = 399165290221 * 798330580441.
+RHO_STEPS = 1 << 21
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of an odd composite non-prime n (Brent's cycle
-    variant of Pollard rho)."""
+    variant of Pollard rho).  Raises DomainError rather than pass
+    :data:`RHO_STEPS` steps."""
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -208,6 +218,12 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            # a round takes at most 2r steps
+            if steps + 2 * r > RHO_STEPS:
+                raise DomainError(
+                    f"factoring {n} takes more than {RHO_STEPS} Pollard-rho steps; "
+                    "pass the dimension value explicitly instead"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -219,6 +235,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + min(k, r)
             r <<= 1
         if g == n:
             g = 1
@@ -248,8 +265,9 @@ def factor_trial(n: int) -> Factorization:
     Every prime it returns passes :func:`is_probable_prime`, so the
     result is exact for every n whose prime factors lie below psi_13 ~
     3.3e24.  Rho's work grows as the square root of the second-largest
-    prime factor, which keeps this to desk-scale inputs.  This is test and
-    oracle plumbing; reduction algorithms must not call it.
+    prime factor, which keeps this to desk-scale inputs: past
+    :data:`RHO_STEPS` steps on one cofactor it raises DomainError.  This
+    is test and oracle plumbing; reduction algorithms must not call it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

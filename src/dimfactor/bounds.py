@@ -117,10 +117,6 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
         depth = 486 * (k - 1) * N / t**3 / (L * L)
     except OverflowError:
         depth = math.inf
-    if depth < 0.0:
-        raise InternalInconsistencyError(
-            "arccos argument above 1 cannot occur for truthful oracle values"
-        )
     if depth > 2.0:
         return BoundsReport(
             k=k, n=N, T0=t0, T=t, curly_L=L, certificate=NO_LARGE_SQUARE_DIVISOR
@@ -128,8 +124,11 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
     # x0 < L*t/6, so for t below 2^1000 every root is a finite float
     if t.bit_length() > 1000:
         raise DomainError("T is past float range; the interval roots cannot be formed")
-    # acos(1 - depth) without cancellation
-    theta = 2.0 * math.asin(math.sqrt(depth / 2.0))
+    # acos(1 - depth) without cancellation.  sqrt(depth / 2) is formed from
+    # N / t, since the depth itself underflows from N ~ 10^155 on; the min
+    # absorbs a last-bit rounding difference at depth = 2.
+    half = math.sqrt(243 * (k - 1) * N / t) / (L * float(t))
+    theta = 2.0 * math.asin(min(1.0, half))
     scale = L * float(t) / 9.0
     shift = L * float(t) / 18.0
     # x1 = scale*cos(theta/3 - 2pi/3) + scale/2, rewritten as a sum of

@@ -1,6 +1,5 @@
 """The dimension oracle: exact counts of automorphic representations and
-newform dimensions, plus the sharp multiplicative values at prime
-powers.
+newform dimensions.
 
 Every count is :func:`~dimfactor.multfuncs.twelve_combination`, the
 closed form scaled by 12, at four multiplicative values (see there).
@@ -10,8 +9,8 @@ computable from residues alone, and return exact Fractions; ``dim_A``,
 genuinely need one.  ``dim_delta`` is the squarefree gap G - A as one
 exact Fraction; its sign at the levels where the trichotomy degenerates
 is catalogued in ``detectors.SQUAREFREE_EXCEPTIONS``.  Detectors and
-factoring reductions consume these numbers only through
-:class:`DimensionOracle` values, never by factoring the level themselves.
+factoring reductions take these numbers as plain ints, from an oracle's
+samples or the command line, never by factoring the level themselves.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .arith import Factorization, factor_trial, is_probable_prime, kronecker_m3, kronecker_m4
+from .arith import Factorization, factor_trial, kronecker_m3, kronecker_m4
 from .errors import InternalInconsistencyError
-from .multfuncs import sharp_local, star_local, twelve_combination
+from .multfuncs import local_product, sharp_local, star_local, twelve_combination
 
 _LEVEL_ONE = Factorization(())
 
@@ -81,10 +79,7 @@ def dim_A(k: int, f: Factorization) -> int:
     """
     if not f.factors:
         return level_one_newform_dim(k)
-    x = w = y = z = 1
-    for p, e in f:
-        lx, lw, ly, lz = star_local(p, e)
-        x, w, y, z = x * lx, w * lw, y * ly, z * lz
+    x, w, y, z, _ = local_product(star_local, f)
     twelve = twelve_combination(k, x, w, y, z)
     return _count(twelve, f"representation count A({k},{f.value()})")
 
@@ -106,55 +101,11 @@ def dim_B(k: int, f: Factorization) -> int:
     :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
     The result must be a nonnegative integer.
     """
-    x = w = y = z = mu = 1
-    for p, e in f:
-        lx, lw, ly, lz, lmu = sharp_local(p, e)
-        x, w, y, z, mu = x * lx, w * lw, y * ly, z * lz, mu * lmu
+    x, w, y, z, mu = local_product(sharp_local, f)
     twelve = twelve_combination(k, x, w, y, z)
     if k == 2:
         twelve += 12 * mu
     return _count(twelve, f"newform dimension B({k},{f.value()})")
-
-
-# --- sharp values at prime powers --------------------------------------
-
-
-@dataclass(frozen=True)
-class SharpPrimePowerValues:
-    """Sharp multiplicative data at p^e: x = p^e * s0#(p^e),
-    w = nu_inf#(p^e), y = nu2#(p^e), z = nu3#(p^e)."""
-
-    p: int
-    e: int
-    x: int
-    w: int
-    y: int
-    z: int
-
-
-@lru_cache(maxsize=4096)
-def sharp_values_at_prime_power(p: int, e: int) -> SharpPrimePowerValues:
-    """The sharp multiplicative values at the prime power p^e (e >= 1):
-    the local factors :func:`~dimfactor.multfuncs.sharp_local` that
-    :func:`dim_B` multiplies over the prime powers of N."""
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x, w, y, z, _ = sharp_local(p, e)
-    return SharpPrimePowerValues(p=p, e=e, x=x, w=w, y=y, z=z)
-
-
-def sharp_s0_on_squarefull(L: Factorization) -> int:
-    """L * s0#(L) for squarefull L, by multiplicativity over prime powers.
-
-    Returns 1 for L = 1.  The extraction produces integers at every prime
-    power, so the product is an exact integer.
-    """
-    if not L.is_squarefull():
-        raise ValueError(f"{L.value()} is not squarefull")
-    out = 1
-    for p, e in L:
-        out *= sharp_values_at_prime_power(p, e).x
-    return out
 
 
 # --- the oracle boundary ------------------------------------------------
@@ -177,21 +128,7 @@ class OracleSample:
             raise ValueError("dimension values are nonnegative")
 
 
-class DimensionOracle:
-    """Interface for anything that can answer dimension queries.
-
-    Implementations must be deterministic per (kind, k, N) and safe to
-    share across threads.
-    """
-
-    def query_A(self, k: int, n: int) -> OracleSample:
-        raise NotImplementedError
-
-    def query_B(self, k: int, n: int) -> OracleSample:
-        raise NotImplementedError
-
-
-class DefaultOracle(DimensionOracle):
+class DefaultOracle:
     """Oracle backed by trial factorization plus the explicit formulas.
 
     This stands in for the hypothetical fast algorithm the reductions
@@ -224,7 +161,7 @@ class DefaultOracle(DimensionOracle):
         return self._answer("B", k, n)
 
 
-class StaticOracle(DimensionOracle):
+class StaticOracle:
     """Oracle that serves only preloaded samples; used to prove the
     reductions touch nothing but oracle values."""
 

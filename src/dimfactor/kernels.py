@@ -10,8 +10,8 @@ families over any window lo..hi, by multiplying the local factors of
 :mod:`~dimfactor.multfuncs` along each level's prime factors:
 
 * the star tables (:func:`build_star_tables`): the four starred
-  functions of :func:`~dimfactor.multfuncs.star_local` and the Mobius
-  function.
+  functions and the Mobius function, the five entries of
+  :func:`~dimfactor.multfuncs.star_local`.
 * the sharp tables (:func:`build_sharp_tables`): the four sharp
   functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
   inverses of the starred ones), mu, and primality.  No Mobius inversion
@@ -35,6 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .arith import primes_below
 from .dimensions import level_one_newform_dim
 from .multfuncs import sharp_local, star_local, twelve_combination
 
@@ -48,22 +49,8 @@ _KRON3 = np.array([0, 1, -1], dtype=np.int8)
 SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return np.flatnonzero(flags)
-
-
-def _star_mu_local(p: int, e: int) -> tuple[int, int, int, int, int]:
-    """star_local(p, e) followed by mu(p^e), for e >= 1."""
-    return (*star_local(p, e), -1 if e == 1 else 0)
-
-
 def _star_at_primes(q: np.ndarray) -> np.ndarray:
-    """_star_mu_local(q, 1) for an array of primes q, one column each."""
+    """star_local(q, 1) for an array of primes q, one column each."""
     return np.stack((q, np.ones_like(q), _KRON4[q % 4], _KRON3[q % 3], np.full_like(q, -1)))
 
 
@@ -90,7 +77,7 @@ def _multiplicative_rows(lo: int, hi: int, local, at_primes):
     """
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    small = _primes_upto(math.isqrt(hi)).tolist()
+    small = primes_below(math.isqrt(hi) + 1)
     factors = []  # ([p^0, p^1, ...], the same as an array, local factor rows by exponent)
     for p in small:
         pows = [1]
@@ -177,7 +164,7 @@ class StarTables:
 def build_star_tables(lo: int, hi: int) -> StarTables:
     """Sieve the starred functions and mu over levels lo..hi, in blocks,
     without touching any level below lo."""
-    rows, _ = _multiplicative_rows(lo, hi, _star_mu_local, _star_at_primes)
+    rows, _ = _multiplicative_rows(lo, hi, star_local, _star_at_primes)
     ns0, nu_inf, nu2, nu3, mu = rows
     return StarTables(lo=lo, hi=hi, ns0=ns0, nu_inf=nu_inf, nu2=nu2, nu3=nu3, mu=mu)
 

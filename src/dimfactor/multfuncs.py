@@ -4,13 +4,14 @@ counterparts entering the newform dimension, and the one linear
 combination that turns either family into a dimension.
 
 Both families are defined once, by their local factors at a prime power
-(:func:`star_local`, :func:`sharp_local`); the exact path multiplies them
-over a factorization and the sieve kernels multiply them over a range.
-Every dimension formula of the package is :func:`twelve_combination` of
-four such values, scaled by 12 to stay in integers.  The functions of N
-take a :class:`~dimfactor.arith.Factorization`, never a bare integer:
-they are only computable with the factorization in hand, and the
-signature keeps that dependency explicit.
+(:func:`star_local`, :func:`sharp_local`, each with mu(p^e) last);
+:func:`local_product` alone multiplies them over a factorization, and the
+sieve kernels multiply them over a range.  Every dimension formula of the
+package is :func:`twelve_combination` of four such values, scaled by 12
+to stay in integers.  The functions of N take a
+:class:`~dimfactor.arith.Factorization`, never a bare integer: they are
+only computable with the factorization in hand, and the signature keeps
+that dependency explicit.
 """
 
 from __future__ import annotations
@@ -35,23 +36,25 @@ def twelve_combination(k: int, x, w, y, z):
     return (k - 1) * x - 6 * w + t2 * y + t3 * z
 
 
-def star_local(p: int, e: int) -> tuple[int, int, int, int]:
-    """Local factors at p^e of the four starred functions:
-    (p^e * s0*(p^e), nu_inf*(p^e), nu2*(p^e), nu3*(p^e)), all 1 at e = 0.
+def star_local(p: int, e: int) -> tuple[int, int, int, int, int]:
+    """Local factors at p^e of the four starred functions and of mu:
+    (p^e * s0*(p^e), nu_inf*(p^e), nu2*(p^e), nu3*(p^e), mu(p^e)), all 1
+    at e = 0.
 
     This is the one definition of the starred functions; each of them is
     the product of its local factor over the prime powers of N.
     """
     if e == 0:
-        return 1, 1, 1, 1
+        return 1, 1, 1, 1, 1
     pe = p**e
     if e == 1:
-        return pe, 1, kronecker_m4(p), kronecker_m3(p)
+        return pe, 1, kronecker_m4(p), kronecker_m3(p), -1
     return (
         pe - pe // (p * p),
         (p - 1) * p ** ((e - 2) // 2),
         -1 if (p, e) == (2, 2) else 0,
         -1 if (p, e) == (3, 2) else 0,
+        0,
     )
 
 
@@ -67,14 +70,18 @@ def sharp_local(p: int, e: int) -> tuple[int, int, int, int, int]:
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
     hi, lo = star_local(p, e), star_local(p, e - 1)
-    return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3], -1 if e == 1 else 0
+    return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3], hi[4]
 
 
-def _star_product(f: Factorization, i: int) -> int:
-    out = 1
-    for p, e in f:
-        out *= star_local(p, e)[i]
-    return out
+def local_product(local, pairs) -> tuple[int, int, int, int, int]:
+    """The five entries of ``local(p, e)``, :func:`star_local` or
+    :func:`sharp_local`, each multiplied over the (p, e) pairs of a
+    Factorization or of any iterable of coprime prime powers."""
+    x = w = y = z = mu = 1
+    for p, e in pairs:
+        lx, lw, ly, lz, lmu = local(p, e)
+        x, w, y, z, mu = x * lx, w * lw, y * ly, z * lz, mu * lmu
+    return x, w, y, z, mu
 
 
 def s0_star(f: Factorization) -> Fraction:
@@ -82,7 +89,7 @@ def s0_star(f: Factorization) -> Fraction:
 
     Equals 1 exactly when N is squarefree; always lies in (0, 1].
     """
-    return Fraction(_star_product(f, 0), f.value())
+    return Fraction(local_product(star_local, f)[0], f.value())
 
 
 def nu_inf_star(f: Factorization) -> int:
@@ -90,17 +97,16 @@ def nu_inf_star(f: Factorization) -> int:
 
     Equals phi(D) for the largest D with D^2 | N; 1 on squarefree N.
     """
-    return _star_product(f, 1)
+    return local_product(star_local, f)[1]
 
 
 def nu2_star(f: Factorization) -> int:
     """Twisted Kronecker value at -4: (-4|N) on squarefree N,
     -(-4|N/4) when 4 | N with N/4 squarefree, otherwise 0."""
-    return _star_product(f, 2)
+    return local_product(star_local, f)[2]
 
 
 def nu3_star(f: Factorization) -> int:
     """Twisted Kronecker value at -3: (-3|N) on squarefree N,
     -(-3|N/9) when 9 | N with N/9 squarefree, otherwise 0."""
-    return _star_product(f, 3)
-
+    return local_product(star_local, f)[3]

@@ -7,10 +7,13 @@ algorithms themselves discover.  In particular the ground-truth
 factorizer is never imported.
 
 The two-value reduction finds the squarefull part L of N and the split
-N = E * L; the three-value reduction then tries only the sharp triples
-possible for that split (at most 392 when E < 2^48) and gates each
-candidate totient of E with one Fermat check before the totient-multiple
-factorizer runs.
+N = E * L, dividing the starred values of each peeled prime power out of
+the invariants; the three-value reduction then tries only the sharp
+triples possible for that split (at most 392 when E < 2^48) and gates
+each candidate totient of E with one Fermat check before the
+totient-multiple factorizer runs.  Both read those values of prime powers
+they found as :func:`~dimfactor.multfuncs.local_product` of the local
+factors.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4
-from .dimensions import sharp_s0_on_squarefull, sharp_values_at_prime_power, twelve_G
+from .dimensions import twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
-from .multfuncs import twelve_combination
+from .multfuncs import local_product, sharp_local, star_local, twelve_combination
 
 DEFAULT_RETRY_BUDGET = 128
 
@@ -264,8 +267,7 @@ def factor_squarefull_from_invariants(
     while s0 != 1:
         d = s0.denominator  # > 1 since s0 < 1 in lowest terms
         fac_d = factor_given_phi_multiple(d, d * nu, rng, retry_budget)
-        peel_s0 = Fraction(1)
-        peel_nu = 1
+        n_before, peeled = n_left, []
         for p, _ in fac_d:
             e = 0
             while n_left % p == 0:
@@ -275,10 +277,10 @@ def factor_squarefull_from_invariants(
                 raise InconsistentInputsError(
                     f"prime {p} from the s0* denominator does not divide {N} squarely"
                 )
-            pairs.append((p, e))
-            peel_s0 *= 1 - Fraction(1, p * p)
-            peel_nu *= (p - 1) * p ** ((e - 2) // 2)
-        s0 /= peel_s0
+            peeled.append((p, e))
+        pairs += peeled
+        peel_x, peel_nu, *_ = local_product(star_local, peeled)
+        s0 /= Fraction(peel_x, n_before // n_left)  # s0* of the peeled part
         if not 0 < s0 <= 1:
             raise InconsistentInputsError("residual s0* left (0, 1]")
         if nu % peel_nu != 0:
@@ -381,11 +383,7 @@ def _sharp_guesses(split: SquarefullSplit):
     inputs the true triple is among them; a triple may repeat only as
     (0, 0, 0), when L > 1.
     """
-    y_l = z_l = 1
-    for p, e in split.L:
-        local = sharp_values_at_prime_power(p, e)
-        y_l *= local.y
-        z_l *= local.z
+    _, _, y_l, z_l, _ = local_product(sharp_local, split.L)
     top = _omega_bound(split.E)
     l_is_one = split.L.value() == 1
     for s in (1, -1):
@@ -431,7 +429,7 @@ def full_factor_three_values(
     split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng, retry_budget)
     if split.E == 1:
         return split.L
-    l_sharp = sharp_s0_on_squarefull(split.L)  # L * s0#(L), an exact integer
+    l_sharp = local_product(sharp_local, split.L)[0]  # L * s0#(L)
     e_odd = split.E >> ((split.E & -split.E).bit_length() - 1)  # E without its factors of 2
     tried: set[int] = set()
     for guess in _sharp_guesses(split):

@@ -112,6 +112,15 @@ def test_bounds_no_divisor_certificate_on_squarefree():
         assert rep.theta is None and rep.x1 is None
 
 
+def test_bounds_at_the_certificate_boundary():
+    # the depth rounds to exactly 2 here, while sqrt(depth / 2) formed from
+    # N / t rounds one ulp above 1: the arcsine must still get 1
+    n = 7455462640652134197895124018929659574711713985326367559613840309357897
+    a = 6834174087264456348070530350685521276819071153161100028212184098250860
+    rep = square_divisor_bounds(12, n, a)
+    assert rep.certificate == INTERVAL and rep.theta == math.pi
+
+
 def test_bounds_rejects_small_levels():
     with pytest.raises(DomainError):
         square_divisor_bounds(2, 728, 0)

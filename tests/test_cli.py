@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dimfactor
+from dimfactor import arith
+from dimfactor.bounds import cubic_margin
 from dimfactor.cli import main
 from dimfactor.sweeps import MAX_SWEEP_HI
 
@@ -106,12 +108,18 @@ def test_bounds_command(capsys):
     [
         # t^3 is past float range, but the depth is formed exactly
         (10**120 + 1, 0, 0, "INTERVAL"),
+        # the depth underflows (partly, then wholly), but the lower root
+        # stays near sqrt((k-1)N/T) = 1
+        (10**160 + 1, 0, 0, "INTERVAL"),
+        (10**200 + 1, 0, 0, "INTERVAL"),
+        (10**299 + 1, 0, 0, "INTERVAL"),
         # t itself is past float range: no roots, one error line
         (10**400 + 1, 0, 1, None),
         # N / t^3 is past float range, so the depth is far above 2
         (10**400 + 1, (10**400 + 1) // 12, 0, "NO_LARGE_SQUARE_DIVISOR"),
     ],
-    ids=["1e120-interval", "1e400-roots-out-of-range", "1e400-no-divisor"],
+    ids=["1e120-interval", "1e160-interval", "1e200-interval", "1e299-interval",
+         "1e400-roots-out-of-range", "1e400-no-divisor"],
 )
 def test_bounds_at_levels_past_float_range(capsys, n, value, code, certificate):
     got, out, err = run_cli(capsys, "bounds", "2", str(n), str(value), "--json")
@@ -123,7 +131,19 @@ def test_bounds_at_levels_past_float_range(capsys, n, value, code, certificate):
         payload = json.loads(out)
         assert payload["certificate"] == certificate and err == ""
         if certificate == "INTERVAL":
-            assert 0 < payload["x1"] < 27 and payload["x0"] > math.isqrt(n)
+            x1, T, L = payload["x1"], payload["T"], payload["curly_L"]
+            assert 0.99 <= x1 < 27 and payload["x0"] > math.isqrt(n)
+            # x1 is a root of the cubic: its margin changes sign across it
+            below, above = (cubic_margin(2, n, T, L, x1 * (1 + s * 1e-9)) for s in (-1, 1))
+            assert below < 0 < above
+
+
+def test_oracle_out_of_rho_budget_is_one_error_line(capsys, monkeypatch):
+    # both factors lie above the trial-division primes, so rho must run
+    monkeypatch.setattr(arith, "RHO_STEPS", 64)
+    code, out, err = run_cli(capsys, "dim", "A", "2", str(1000003 * 1000033))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "explicitly" in err
 
 
 def test_factor_squarefull(capsys):

@@ -23,12 +23,18 @@ from dimfactor.dimensions import (
     dim_H,
     dim_delta,
     level_one_newform_dim,
-    sharp_s0_on_squarefull,
-    sharp_values_at_prime_power,
 )
 from dimfactor.bounds import compute_T
 from dimfactor.errors import InvalidWeightError
-from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, twelve_combination
+from dimfactor.multfuncs import (
+    local_product,
+    nu2_star,
+    nu3_star,
+    nu_inf_star,
+    s0_star,
+    sharp_local,
+    twelve_combination,
+)
 
 
 @pytest.mark.parametrize(
@@ -300,23 +306,18 @@ def _sieve_primes(limit):
 
 def test_sharp_values_at_primes():
     for p in _sieve_primes(500):
-        sv = sharp_values_at_prime_power(p, 1)
-        assert sv.x == p - 1
-        assert sv.w == 0
-        assert sv.y == kronecker_m4(p) - 1
-        assert sv.z == kronecker_m3(p) - 1
+        assert sharp_local(p, 1) == (p - 1, 0, kronecker_m4(p) - 1, kronecker_m3(p) - 1, -1)
 
 
 def test_sharp_values_at_prime_powers_bounded():
     for p in (2, 3, 5, 7, 11):
         for e in range(1, 7):
-            sv = sharp_values_at_prime_power(p, e)
-            assert sv.y in (-2, -1, 0, 1, 2)
-            assert sv.z in (-2, -1, 0, 1, 2)
-            assert sv.x >= 0
-    for p, e in ((4, 1), (15, 2), (1, 1), (5, 0)):
-        with pytest.raises(ValueError):
-            sharp_values_at_prime_power(p, e)
+            x, _, y, z, _ = sharp_local(p, e)
+            assert y in (-2, -1, 0, 1, 2)
+            assert z in (-2, -1, 0, 1, 2)
+            assert x >= 0
+    with pytest.raises(ValueError):
+        sharp_local(5, 0)
 
 
 def test_squarefree_closed_forms():
@@ -360,14 +361,10 @@ def test_sharp_reconstruction_on_squarefull_levels():
     ]
     for pairs in cases:
         f = Factorization(pairs)
-        n = f.value()
         xs = ws = ys = zs = 1
         for p, e in pairs:
-            sv = sharp_values_at_prime_power(p, e)
-            xs *= sv.x
-            ws *= sv.w
-            ys *= sv.y
-            zs *= sv.z
+            x, w, y, z, _ = sharp_local(p, e)
+            xs, ws, ys, zs = xs * x, ws * w, ys * y, zs * z
         for k in (2, 4, 6, 12, 14):
             c2, c3, d2 = _weight_fractions(k)
             want = (
@@ -378,23 +375,18 @@ def test_sharp_reconstruction_on_squarefull_levels():
                 + d2 * f.mobius()
             )
             assert dim_B(k, f) == want, (k, pairs)
-        assert sharp_s0_on_squarefull(f) == xs
+        assert local_product(sharp_local, f) == (xs, ws, ys, zs, f.mobius())
 
 
 def test_sharp_s0_on_squarefull_edges():
-    assert sharp_s0_on_squarefull(Factorization(())) == 1
-    assert sharp_s0_on_squarefull(Factorization(((5, 2),))) == sharp_values_at_prime_power(5, 2).x
-    with pytest.raises(ValueError):
-        sharp_s0_on_squarefull(factor_trial(12))  # 12 is not squarefull
+    assert local_product(sharp_local, Factorization(())) == (1, 1, 1, 1, 1)
+    assert local_product(sharp_local, Factorization(((5, 2),))) == sharp_local(5, 2)
 
 
 def test_n_times_sharp_s0_equals_phi_on_squarefree_products():
     # x-values at distinct primes multiply to the totient
     f = Factorization(((3, 1), (5, 1), (11, 1)))
-    xs = 1
-    for p, _ in f:
-        xs *= sharp_values_at_prime_power(p, 1).x
-    assert xs == euler_phi(f)
+    assert local_product(sharp_local, f)[0] == euler_phi(f)
 
 
 # --- oracles ---------------------------------------------------------------

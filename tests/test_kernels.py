@@ -37,33 +37,8 @@ def test_star_tables_match_exact_path(np_tables):
         assert t.mu[n] == f.mobius()
 
 
-def test_star_tables_match_definitions(np_tables):
-    # every n <= LIMIT against the definitions in the multfuncs docstrings,
-    # computed here without the local factors the sieve reads
-    n = np.arange(LIMIT + 1, dtype=np.int64)
-    primes = set(_sieve_primes(LIMIT))
-    mu = np.ones(LIMIT + 1, dtype=np.int64)
-    mu[0] = 0
-    phi = n.copy()
-    for p in primes:
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        phi[p::p] -= phi[p::p] // p
-    ns0 = n.copy()
-    root = np.ones(LIMIT + 1, dtype=np.int64)  # largest D with D^2 | n
-    for d in range(2, int(LIMIT**0.5) + 1):
-        root[d * d :: d * d] = d
-        if d in primes:
-            ns0[d * d :: d * d] = ns0[d * d :: d * d] // (d * d) * (d * d - 1)
-    sf = mu != 0
-    kron4, kron3 = np.array([0, 1, 0, -1]), np.array([0, 1, -1])
-    nu2 = np.where(sf, kron4[n % 4], 0)
-    nu3 = np.where(sf, kron3[n % 3], 0)
-    nu2[4::4] = np.where(sf[1 : LIMIT // 4 + 1], -kron4[n[1 : LIMIT // 4 + 1] % 4], 0)
-    nu3[9::9] = np.where(sf[1 : LIMIT // 9 + 1], -kron3[n[1 : LIMIT // 9 + 1] % 3], 0)
-    nu_inf = phi[root]
-    nu_inf[0] = 0
-    for name, want in (("ns0", ns0), ("nu_inf", nu_inf), ("nu2", nu2), ("nu3", nu3), ("mu", mu)):
+def test_star_tables_match_definitions(np_tables, star_definitions):
+    for name, want in star_definitions.items():
         assert np.array_equal(getattr(np_tables, name), want), name
 
 
@@ -111,6 +86,7 @@ def test_sharp_windows_match_whole_range(monkeypatch, block):
         whole = build(0, hi)
         monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
         for lo_w, hi_w in [(0, hi), (2, hi), (2, 2), (2, min(3 * block + 7, hi)), (1, 1), (0, 5),
+                           (0, 0), (0, 1), (1, 3), (1, block + 1),
                            (block - 1, block + 1), (65_535, 131_073), (149_000, hi)]:
             win = build(lo_w, hi_w)
             assert (win.lo, win.hi) == (lo_w, hi_w)

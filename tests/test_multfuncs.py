@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimfactor.arith import Factorization, factor_trial
-from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
+from dimfactor.kernels import mobius_invert
+from dimfactor.multfuncs import (
+    local_product,
+    nu2_star,
+    nu3_star,
+    nu_inf_star,
+    s0_star,
+    sharp_local,
+    star_local,
+)
 
 
 @pytest.mark.parametrize(
@@ -105,3 +114,16 @@ def test_all_four_multiplicative_on_coprime_parts(ea, eb):
     assert nu_inf_star(merged) == nu_inf_star(fa) * nu_inf_star(fb)
     assert nu2_star(merged) == nu2_star(fa) * nu2_star(fb)
     assert nu3_star(merged) == nu3_star(fa) * nu3_star(fb)
+
+
+def test_local_products_match_definitions_everywhere(star_definitions):
+    # every N <= 2*10^4 on the exact path: the starred products against the
+    # definitions, mu against Factorization.mobius, and the sharp products
+    # against the divisor-sum Mobius inverse of the starred values
+    star = [star_definitions[name] for name in ("ns0", "nu_inf", "nu2", "nu3")]
+    sharp = [mobius_invert(values, star_definitions["mu"]) for values in star]
+    for n in range(1, len(star[0])):
+        f = factor_trial(n)
+        mu = f.mobius()
+        assert local_product(star_local, f) == (*(int(v[n]) for v in star), mu), n
+        assert local_product(sharp_local, f) == (*(int(v[n]) for v in sharp), mu), n
