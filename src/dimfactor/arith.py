@@ -1,8 +1,9 @@
 """Exact arithmetic primitives shared by the whole package.
 
-Big integers are plain Python ints, exact rationals are
-``fractions.Fraction``, and the only randomness is an explicitly passed
-``random.Random``.
+Big integers are plain Python ints and exact rationals are
+``fractions.Fraction``.  All randomness comes from ``random.Random``
+generators seeded by the input itself, so every answer here depends only
+on its arguments.
 
 Primality is Miller-Rabin with graded deterministic bases: below psi_t,
 the least strong pseudoprime to the first t prime bases, the first t
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InvalidWeightError
 
@@ -90,7 +92,7 @@ def _mr_composite_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 64) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.
 
     Below psi_t, the least strong pseudoprime to the first t prime bases,
@@ -98,9 +100,9 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 64
     below 2047, ..., seven (2..17) below psi_7 ~ 3.4e14, which covers
     every n < 2^48, nine below psi_9 ~ 3.8e18, twelve below psi_12 ~
     3.2e23 and thirteen (2..41) below psi_13.  From psi_13 on it is
-    probabilistic: ``rounds`` random bases push the error probability for
-    composites below 4**-rounds.  With ``rng=None`` those bases are drawn
-    from a generator seeded by n itself, so the answer is reproducible.
+    probabilistic: 64 bases drawn from ``random.Random(n)`` push the
+    error probability for composites below 4**-64, and the answer
+    depends only on n.
     """
     if n < 2:
         return False
@@ -112,11 +114,8 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 64
     for psi, t in _PSI:
         if n < psi:
             return not any(_mr_composite_witness(n, a) for a in _BASES[:t])
-    if rng is None:
-        rng = random.Random(n)
-    return not any(
-        _mr_composite_witness(n, rng.randrange(2, n - 1)) for _ in range(rounds)
-    )
+    rng = random.Random(n)
+    return not any(_mr_composite_witness(n, rng.randrange(2, n - 1)) for _ in range(64))
 
 
 # --- factorizations ----------------------------------------------------
@@ -186,6 +185,7 @@ def euler_phi(f: Factorization) -> int:
 # --- ground-truth factorizer -------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def primes_below(limit: int) -> tuple[int, ...]:
     """The primes p < limit, by the sieve of Eratosthenes (limit >= 1)."""
     flags = bytearray([1]) * limit
@@ -220,10 +220,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         while g == 1:
             # a round takes at most 2r steps
             if steps + 2 * r > RHO_STEPS:
-                raise DomainError(
-                    f"factoring {n} takes more than {RHO_STEPS} Pollard-rho steps; "
-                    "pass the dimension value explicitly instead"
-                )
+                raise DomainError(f"factoring {n} takes more than {RHO_STEPS} Pollard-rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

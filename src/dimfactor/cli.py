@@ -6,14 +6,17 @@ success or a determinate verdict, 1 for operational failures and for
 suspicious verdicts, 2 for an exception-case verdict, 64 for usage
 errors.  A verdict is suspicious when the oracle value is one no
 truthful oracle gives; it is still printed, with ``suspicious`` set in
-the JSON and a ``warning:`` line on stderr.
+the JSON and a ``warning:`` line on stderr.  ``factor`` draws its random
+bases from ``random.Random(--seed)``.  An oracle value left off the
+command line is computed by the built-in oracle, within the rho step
+bound ``arith.RHO_STEPS``; past it the command exits 1 and asks for the
+value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +25,7 @@ from .arith import factor_trial
 from .bounds import INTERVAL, square_divisor_bounds
 from .detectors import EXCEPTION, primality_test, squarefree_test
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
-from .errors import DimfactorError, InvalidWeightError
+from .errors import DimfactorError, DomainError, InvalidWeightError
 from .reductions import factor_squarefull_two_values, full_factor_three_values
 from .sweeps import MAX_SWEEP_HI, check_sweep, primality_sweep, trichotomy_sweep
 
@@ -30,8 +33,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_EXCEPTION_CASE = 2
 EXIT_USAGE = 64
-
-SEED_ENV_VAR = "DIMFACTOR_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,18 +97,6 @@ def _parse_weights(s: str) -> tuple[int, ...]:
     return ks
 
 
-def _make_rng(args) -> random.Random:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return random.Random(seed)
-
-
 def _check_k(args, k: int) -> None:
     if k > args.max_k:
         raise UsageError(f"weight {k} exceeds --max-k {args.max_k}")
@@ -115,9 +104,13 @@ def _check_k(args, k: int) -> None:
 
 def _oracle_value(value, fetch) -> int:
     """An explicit oracle value, which must be nonnegative, or the
-    default oracle's answer when none was given."""
+    default oracle's answer when none was given; when the oracle gives up,
+    the error asks for the value."""
     if value is None:
-        return fetch().value
+        try:
+            return fetch().value
+        except DomainError as exc:
+            raise DomainError(f"{exc}; pass the oracle value explicitly instead") from None
     if value < 0:
         raise UsageError(f"oracle values are nonnegative, got {value}")
     return value
@@ -126,17 +119,10 @@ def _oracle_value(value, fetch) -> int:
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help=f"RNG seed for probabilistic commands (overrides ${SEED_ENV_VAR})",
-    )
+    common.add_argument("--seed", type=int, default=None, help="RNG seed for the factor reductions")
     common.add_argument(
         "--max-k", type=_even_weight, default=1 << 20,
         help="largest accepted weight (default 2^20)",
-    )
-    common.add_argument(
-        "--retry-budget", type=_positive_int, default=128,
-        help="rounds per probabilistic split (default 128)",
     )
 
     parser = _Parser(prog="dimfactor", description=__doc__)
@@ -274,14 +260,12 @@ def _cmd_factor(args) -> int:
     if args.k1 == args.k2:
         raise UsageError("--k1 and --k2 must differ")
     n = args.N
-    rng = _make_rng(args)
+    rng = random.Random(args.seed)
     oracle = DefaultOracle()
     a1 = _oracle_value(args.a1, lambda: oracle.query_A(args.k1, n))
     a2 = _oracle_value(args.a2, lambda: oracle.query_A(args.k2, n))
     if args.mode == "squarefull":
-        split = factor_squarefull_two_values(
-            n, args.k1, a1, args.k2, a2, rng, retry_budget=args.retry_budget
-        )
+        split = factor_squarefull_two_values(n, args.k1, a1, args.k2, a2, rng)
         payload = {
             "mode": "squarefull", "N": n, "E": split.E,
             "L": _factors_json(split.L.factors),
@@ -290,9 +274,7 @@ def _cmd_factor(args) -> int:
         return EXIT_OK
     _check_k(args, args.kb)
     b = _oracle_value(args.b, lambda: oracle.query_B(args.kb, n))
-    fac = full_factor_three_values(
-        n, args.k1, a1, args.k2, a2, args.kb, b, rng, retry_budget=args.retry_budget
-    )
+    fac = full_factor_three_values(n, args.k1, a1, args.k2, a2, args.kb, b, rng)
     payload = {"mode": "full", "N": n, "factors": _factors_json(fac.factors)}
     _emit(args, [str(fac)], payload)
     return EXIT_OK

@@ -132,33 +132,30 @@ class DefaultOracle:
     """Oracle backed by trial factorization plus the explicit formulas.
 
     This stands in for the hypothetical fast algorithm the reductions
-    assume; it is honest but slow, since it factors the level.  The
-    memo cache is guarded by a lock so concurrent queries are safe.
+    assume; it is honest but slow, since it factors the level.  It
+    factors each level once and caches the factorization for every
+    later query; the cache is guarded by a lock so concurrent queries
+    are safe.
     """
 
     def __init__(self):
-        self._cache: dict[tuple[str, int, int], OracleSample] = {}
+        self._factorizations: dict[int, Factorization] = {}
         self._lock = threading.Lock()
 
-    def _answer(self, kind: str, k: int, n: int) -> OracleSample:
-        if n < 1:
-            raise ValueError(f"level must be positive, got {n}")
+    def _factorization(self, n: int) -> Factorization:
         with self._lock:
-            hit = self._cache.get((kind, k, n))
-        if hit is not None:
-            return hit
-        f = factor_trial(n)
-        value = dim_A(k, f) if kind == "A" else dim_B(k, f)
-        sample = OracleSample(kind=kind, k=k, n=n, value=value)
-        with self._lock:
-            self._cache[(kind, k, n)] = sample
-        return sample
+            f = self._factorizations.get(n)
+        if f is None:
+            f = factor_trial(n)
+            with self._lock:
+                self._factorizations[n] = f
+        return f
 
     def query_A(self, k: int, n: int) -> OracleSample:
-        return self._answer("A", k, n)
+        return OracleSample(kind="A", k=k, n=n, value=dim_A(k, self._factorization(n)))
 
     def query_B(self, k: int, n: int) -> OracleSample:
-        return self._answer("B", k, n)
+        return OracleSample(kind="B", k=k, n=n, value=dim_B(k, self._factorization(n)))
 
 
 class StaticOracle:

@@ -23,6 +23,6 @@ class InconsistentInputsError(DimfactorError, ValueError):
 
 
 class FactoringFailureError(DimfactorError, RuntimeError):
-    """A probabilistic reduction exhausted its retry budget or its inputs
+    """A probabilistic reduction ran out of split rounds or its inputs
     were provably wrong (e.g. the exponent passed as a totient multiple
     is not one)."""

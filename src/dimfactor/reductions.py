@@ -13,7 +13,8 @@ triples possible for that split (at most 392 when E < 2^48) and gates
 each candidate totient of E with one Fermat check before the
 totient-multiple factorizer runs.  Both read those values of prime powers
 they found as :func:`~dimfactor.multfuncs.local_product` of the local
-factors.
+factors.  Their only randomness is the caller's ``random.Random``, and
+their one work bound is :data:`SPLIT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4
+from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4, primes_below
 from .dimensions import twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
 from .multfuncs import local_product, sharp_local, star_local, twelve_combination
 
-DEFAULT_RETRY_BUDGET = 128
+# Most random bases _sqrt1_split tries on one composite before it gives
+# up.  Against a true totient multiple each base splits with probability
+# at least 1/2, so 128 failures in a row happen with probability 2^-128.
+SPLIT_ROUNDS = 128
 
 # Starred Kronecker pairs (nu2*, nu3*) for levels up to 37, where the
 # identity tests used for larger levels are not yet conclusive.
@@ -81,28 +84,15 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-@lru_cache(maxsize=128)
-def _first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, by trial division.  The first
-    bit_length(n) primes hold every exponent :func:`_exact_power_base`
-    tries on n and every prime :func:`_omega_bound` multiplies for n."""
-    primes: list[int] = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes if p * p <= n):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
-
-
 def _exact_power_base(n: int) -> tuple[int, int] | None:
     """(r, j) with r**j == n and j >= 2 minimal, or None.
 
     The minimal exponent is prime (r**(i*j) is also (r**i)**j), so only
     prime j are tried, math.isqrt at j = 2 and the Newton root at odd j,
-    until the root drops below 2.
+    until the root drops below 2.  With b = n.bit_length(), a root r >= 2
+    has 2^j <= n < 2^b, so the primes up to b hold every such j.
     """
-    for j in _first_primes(n.bit_length()):
+    for j in primes_below(n.bit_length() + 1):
         r = math.isqrt(n) if j == 2 else _iroot(n, j)
         if r < 2:
             return None
@@ -111,7 +101,7 @@ def _exact_power_base(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _sqrt1_split(c: int, m: int, rng: random.Random, budget: int) -> int:
+def _sqrt1_split(c: int, m: int, rng: random.Random) -> int:
     """A nontrivial proper factor of odd composite non-prime-power c,
     found through a nontrivial square root of 1 along the 2-power chain
     of the exponent m (a multiple of phi(c)).
@@ -124,7 +114,7 @@ def _sqrt1_split(c: int, m: int, rng: random.Random, budget: int) -> int:
     while t % 2 == 0:
         t //= 2
         s += 1
-    for _ in range(budget):
+    for _ in range(SPLIT_ROUNDS):
         a = rng.randrange(2, c - 1)
         g = math.gcd(a, c)
         if 1 < g:
@@ -150,36 +140,32 @@ def _sqrt1_split(c: int, m: int, rng: random.Random, budget: int) -> int:
             raise FactoringFailureError(
                 f"{m} is not a multiple of phi({c}): witness base {a}"
             )
-    raise FactoringFailureError(f"failed to split {c} within {budget} rounds")
+    raise FactoringFailureError(f"failed to split {c} within {SPLIT_ROUNDS} rounds")
 
 
-def _phi_factor_into(
-    c: int, m: int, rng: random.Random, budget: int, counts: dict[int, int]
-) -> None:
+def _phi_factor_into(c: int, m: int, rng: random.Random, counts: dict[int, int]) -> None:
     while c % 2 == 0:
         counts[2] = counts.get(2, 0) + 1
         c //= 2
     if c == 1:
         return
-    if is_probable_prime(c, rng):
+    if is_probable_prime(c):
         counts[c] = counts.get(c, 0) + 1
         return
     power = _exact_power_base(c)
     if power is not None:
         r, j = power
         sub: dict[int, int] = {}
-        _phi_factor_into(r, m, rng, budget, sub)
+        _phi_factor_into(r, m, rng, sub)
         for p, e in sub.items():
             counts[p] = counts.get(p, 0) + e * j
         return
-    f = _sqrt1_split(c, m, rng, budget)
-    _phi_factor_into(f, m, rng, budget, counts)
-    _phi_factor_into(c // f, m, rng, budget, counts)
+    f = _sqrt1_split(c, m, rng)
+    _phi_factor_into(f, m, rng, counts)
+    _phi_factor_into(c // f, m, rng, counts)
 
 
-def factor_given_phi_multiple(
-    d: int, m: int, rng: random.Random, retry_budget: int = DEFAULT_RETRY_BUDGET
-) -> Factorization:
+def factor_given_phi_multiple(d: int, m: int, rng: random.Random) -> Factorization:
     """Complete factorization of d from any multiple m of phi(d).
 
     Classic construction: random bases are walked along the 2-power chain
@@ -195,7 +181,7 @@ def factor_given_phi_multiple(
     if d == 1:
         return Factorization(())
     counts: dict[int, int] = {}
-    _phi_factor_into(d, m, rng, retry_budget, counts)
+    _phi_factor_into(d, m, rng, counts)
     fac = Factorization(tuple(sorted(counts.items())))
     if fac.value() != d:
         raise FactoringFailureError(f"recomposition mismatch while factoring {d}")
@@ -240,11 +226,7 @@ def recover_nu23_star(N: int, k: int, a_value: int) -> tuple[int, int]:
 
 
 def factor_squarefull_from_invariants(
-    N: int,
-    s0star: Fraction,
-    nuinfstar: int,
-    rng: random.Random,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
+    N: int, s0star: Fraction, nuinfstar: int, rng: random.Random
 ) -> SquarefullSplit:
     """SquarefullSplit of N from the true values of the two starred
     invariants.
@@ -266,7 +248,7 @@ def factor_squarefull_from_invariants(
     pairs: list[tuple[int, int]] = []
     while s0 != 1:
         d = s0.denominator  # > 1 since s0 < 1 in lowest terms
-        fac_d = factor_given_phi_multiple(d, d * nu, rng, retry_budget)
+        fac_d = factor_given_phi_multiple(d, d * nu, rng)
         n_before, peeled = n_left, []
         for p, _ in fac_d:
             e = 0
@@ -292,13 +274,7 @@ def factor_squarefull_from_invariants(
 
 
 def factor_squarefull_two_values(
-    N: int,
-    k1: int,
-    a1: int,
-    k2: int,
-    a2: int,
-    rng: random.Random,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
+    N: int, k1: int, a1: int, k2: int, a2: int, rng: random.Random
 ) -> SquarefullSplit:
     """SquarefullSplit of N from two oracle values A(k1, N), A(k2, N).
 
@@ -331,7 +307,7 @@ def factor_squarefull_two_values(
         raise InconsistentInputsError(f"solved nu_inf* = {nu_inf} is not a positive integer")
     if not 0 < s0 <= 1:
         raise InconsistentInputsError(f"solved s0* = {s0} outside (0, 1]")
-    return factor_squarefull_from_invariants(N, s0, int(nu_inf), rng, retry_budget)
+    return factor_squarefull_from_invariants(N, s0, int(nu_inf), rng)
 
 
 # --- full factorization from three oracle values --------------------------
@@ -349,9 +325,15 @@ class SharpGuess:
 
 def _omega_bound(n: int) -> int:
     """The largest r whose primorial (the product of the first r primes)
-    is at most n: a bound on the number of distinct primes dividing n."""
+    is at most n: a bound on the number of distinct primes dividing n.
+
+    With b = n.bit_length(), the primes up to b are enough: their product
+    times the next prime is at least 2^b > n.  That was checked for every
+    b < 41, and from 41 on theta(b) > b (1 - 1/ln b) >= b ln 2 (Rosser
+    and Schoenfeld, Illinois J. Math. 6 (1962)) already gives it.
+    """
     r, primorial = 0, 1
-    for p in _first_primes(n.bit_length()):  # their product exceeds n
+    for p in primes_below(n.bit_length() + 1):
         primorial *= p
         if primorial > n:
             break
@@ -397,15 +379,7 @@ def _sharp_guesses(split: SquarefullSplit):
 
 
 def full_factor_three_values(
-    N: int,
-    k1: int,
-    a1: int,
-    k2: int,
-    a2: int,
-    k: int,
-    b_value: int,
-    rng: random.Random,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
+    N: int, k1: int, a1: int, k2: int, a2: int, k: int, b_value: int, rng: random.Random
 ) -> Factorization:
     """Complete factorization of N from A(k1, N), A(k2, N) and B(k, N).
 
@@ -426,7 +400,7 @@ def full_factor_three_values(
         raise ValueError(f"level must be positive, got {N}")
     if N == 1:
         return Factorization(())
-    split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng, retry_budget)
+    split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng)
     if split.E == 1:
         return split.L
     l_sharp = local_product(sharp_local, split.L)[0]  # L * s0#(L)
@@ -451,7 +425,7 @@ def full_factor_three_values(
         if e_odd > 1 and pow(2, cand, e_odd) != 1:
             continue
         try:
-            fac_e = factor_given_phi_multiple(split.E, cand, rng, retry_budget)
+            fac_e = factor_given_phi_multiple(split.E, cand, rng)
         except FactoringFailureError:
             continue
         merged: dict[int, int] = dict(split.L.factors)

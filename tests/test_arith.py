@@ -165,12 +165,12 @@ def test_probable_prime_basics():
     assert not is_probable_prime(3215031751)
 
 
-def test_probable_prime_large(rng):
+def test_probable_prime_large():
     # beyond the deterministic range: random rounds
     p = 2**89 - 1  # Mersenne prime
     assert _lucas_lehmer(89)
-    assert is_probable_prime(p * 1, rng)
-    assert not is_probable_prime(p * (2**107 - 1), rng)
+    assert is_probable_prime(p * 1)
+    assert not is_probable_prime(p * (2**107 - 1))
 
 
 # --- factorizations ------------------------------------------------------

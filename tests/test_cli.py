@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dimfactor
-from dimfactor import arith
+from dimfactor import arith, dimensions
 from dimfactor.bounds import cubic_margin
-from dimfactor.cli import main
+from dimfactor.cli import build_parser, main
 from dimfactor.sweeps import MAX_SWEEP_HI
 
 
@@ -139,11 +140,25 @@ def test_bounds_at_levels_past_float_range(capsys, n, value, code, certificate):
 
 
 def test_oracle_out_of_rho_budget_is_one_error_line(capsys, monkeypatch):
-    # both factors lie above the trial-division primes, so rho must run
+    # both factors lie above the trial-division primes, so rho must run;
+    # only a command that takes the value is told to pass it
     monkeypatch.setattr(arith, "RHO_STEPS", 64)
-    code, out, err = run_cli(capsys, "dim", "A", "2", str(1000003 * 1000033))
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "explicitly" in err
+    n = str(1000003 * 1000033)
+    for argv, advice in ((["dim", "A", "2", n], False), (["test", "squarefree", "2", n], True)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("explicitly" in err) == advice, argv
+
+
+def test_factor_fetches_each_level_once(capsys, monkeypatch):
+    # A(k1), A(k2) and B(kb) come from one factorization of the level
+    calls = []
+    factor_trial = dimensions.factor_trial
+    monkeypatch.setattr(dimensions, "factor_trial", lambda n: calls.append(n) or factor_trial(n))
+    code, out, _ = run_cli(capsys, "factor", "full", "12493", "--seed", "7")
+    assert code == 0 and out.strip() == "13*31^2"
+    assert calls == [12493]
 
 
 def test_factor_squarefull(capsys):
@@ -236,15 +251,6 @@ def test_seed_determinism(capsys):
     assert len(outs) == 1
 
 
-def test_seed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("DIMFACTOR_SEED", "55")
-    code, out1, _ = run_cli(capsys, "factor", "squarefull", "700")
-    assert code == 0
-    monkeypatch.setenv("DIMFACTOR_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, "factor", "squarefull", "700")
-    assert code == 64 and "DIMFACTOR_SEED" in err
-
-
 def test_console_entry_point():
     # the child imports the same dimfactor as this process, installed or not
     root = os.path.dirname(os.path.dirname(dimfactor.__file__))
@@ -279,16 +285,20 @@ def test_json_round_trip(capsys):
 # Random command lines, mostly well formed, run in-process: whatever the
 # input, main returns one of the documented exit codes, writes no
 # traceback, and prints parseable JSON under --json (failures print
-# nothing on stdout).  Levels stay small
-# enough for the default oracle to factor at once, and sweep HI values
-# stay at most 10^4 or go above the cap, so no draw builds a large table.
+# nothing on stdout).  Levels and oracle values reach 10^400; the
+# default oracle's rho runs with a 2^12-step bound, so each example stays
+# short whatever level it draws.  Sweep HI values stay at most 10^4 or go
+# above the cap, so no draw builds a large table.
 
 _WEIGHTS = (2, 4, 6, 12, 14, 26)
 _weights = st.one_of(
     st.sampled_from(_WEIGHTS), st.integers(-4, 30), st.sampled_from([1 << 20, (1 << 20) + 2, 10**9])
 )
-_levels = st.one_of(st.integers(-3, 60), st.integers(2, 10**6))
-_values = st.one_of(st.integers(-3, 60), st.integers(-(10**6), 10**6), st.integers(-(2**70), 2**70))
+_levels = st.one_of(st.integers(-3, 60), st.integers(2, 10**6), st.integers(2, 10**400))
+_values = st.one_of(
+    st.integers(-3, 60), st.integers(-(10**6), 10**6), st.integers(-(2**70), 2**70),
+    st.integers(-(10**400), 10**400),
+)
 _his = st.one_of(st.integers(-5, 10**4), st.integers(MAX_SWEEP_HI + 1, 10**30))
 _garbage = st.sampled_from(["", "--", "-x", "..", "1..", "abc", "--k", "2,,4", "nan", "1e3", "--mode", "A"])
 
@@ -333,7 +343,6 @@ _common = st.lists(st.one_of(
     st.just(["--json"]),
     st.tuples(st.just("--seed"), _text(_values)).map(list),
     st.tuples(st.just("--max-k"), _text(_weights)).map(list),
-    st.tuples(st.just("--retry-budget"), _text(st.integers(-2, 300))).map(list),
 ), max_size=3).map(lambda opts: [x for o in opts for x in o])
 _argvs = st.tuples(
     st.one_of(_dim, _test, _bounds, _factor, _sweep),
@@ -344,13 +353,26 @@ _argvs = st.tuples(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argvs)
-def test_argv_fuzz_keeps_exit_code_contract(capsys, argv):
+def test_argv_fuzz_keeps_exit_code_contract(capsys, monkeypatch, argv):
+    monkeypatch.setattr(arith, "RHO_STEPS", 1 << 12)
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2, 64), (code, argv)
     assert "Traceback" not in err
     if "--json" in argv and (out or code in (0, 2)):
         json.loads(out)
+
+
+def test_readme_names_every_cli_flag():
+    # the --flags README's CLI section names are exactly the parser's options
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        opt for p in subparsers.choices.values() for a in p._actions for opt in a.option_strings
+    }
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == options - {"-h", "--help"}
 
 
 def test_benchmark_trace_targets_resolve():

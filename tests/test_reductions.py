@@ -74,6 +74,14 @@ def test_phi_factoring_rejects_bad_multiple(rng):
         factor_given_phi_multiple(31 * 61, 45, rng)
 
 
+def test_phi_factoring_stops_at_split_rounds(monkeypatch):
+    # the first base of this seed leaves 77 = 7 * 11 unsplit; the second splits it
+    assert factor_given_phi_multiple(77, 60, random.Random(1)).factors == ((7, 1), (11, 1))
+    monkeypatch.setattr(reductions, "SPLIT_ROUNDS", 1)
+    with pytest.raises(FactoringFailureError, match="failed to split 77 within 1 rounds"):
+        factor_given_phi_multiple(77, 60, random.Random(1))
+
+
 def _power_base_all_exponents(n):
     """The perfect-power search the splitter made before it tried prime
     exponents only: every j from 2 to bit_length, with exact roots."""
@@ -381,9 +389,9 @@ def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
     seen = []
     split_l = reductions.factor_given_phi_multiple
 
-    def refuse_e(d, m, rng, retry_budget):
+    def refuse_e(d, m, rng):
         if d != split.E:
-            return split_l(d, m, rng, retry_budget)
+            return split_l(d, m, rng)
         seen.append(m)
         raise FactoringFailureError("refused")
 
