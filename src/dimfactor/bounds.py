@@ -29,18 +29,18 @@ def compute_T(k: int, N: int, a_value: int) -> tuple[int, int]:
 
     With Delta = dim_G(k, N) - a_value the Kronecker terms of G cancel,
     so T0 = (k-1)N - 12a and no factorization of N is needed.  The shift
-    is the smallest constant that dominates the twisted Kronecker terms
-    hiding in T0, namely 3 when the weight's coefficient at -3 vanishes
-    (k ≡ 1 mod 3) and 3 + 4 = 7 otherwise; this is what makes
+    |12 c2| + |12 c3| is the smallest constant that dominates the twisted
+    Kronecker terms hiding in T0, namely 3 when the weight's coefficient
+    at -3 vanishes (k ≡ 1 mod 3) and 3 + 4 = 7 otherwise; this is what makes
     T >= (k-1)N(1 - s0*) + 6 nu_inf* hold for every truthful oracle
     value."""
     if N < 2:
         raise ValueError(f"level must be >= 2, got {N}")
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
-    _, twelve_c3 = twelve_weight_coefficients(k)
+    twelve_c2, twelve_c3 = twelve_weight_coefficients(k)
     t0 = (k - 1) * N - 12 * a_value
-    return t0, t0 + (3 if twelve_c3 == 0 else 7)
+    return t0, t0 + abs(twelve_c2) + abs(twelve_c3)
 
 
 def curly_L(N: int) -> float:

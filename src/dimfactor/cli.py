@@ -46,12 +46,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, Fraction):
-        return str(int(x)) if x.denominator == 1 else str(x)
-    return str(x)
-
-
 def _json_value(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
@@ -91,15 +85,7 @@ def _parse_range(s: str) -> tuple[int, int]:
 
 
 def _parse_weights(s: str) -> tuple[int, ...]:
-    ks = tuple(_even_weight(part) for part in s.split(","))
-    if not ks:
-        raise argparse.ArgumentTypeError("need at least one weight")
-    return ks
-
-
-def _check_k(args, k: int) -> None:
-    if k > args.max_k:
-        raise UsageError(f"weight {k} exceeds --max-k {args.max_k}")
+    return tuple(_even_weight(part) for part in s.split(","))
 
 
 def _oracle_value(value, fetch) -> int:
@@ -120,10 +106,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=None, help="RNG seed for the factor reductions")
-    common.add_argument(
-        "--max-k", type=_even_weight, default=1 << 20,
-        help="largest accepted weight (default 2^20)",
-    )
 
     parser = _Parser(prog="dimfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,7 +150,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_dim(args) -> int:
-    _check_k(args, args.k)
     kind, k, n = args.kind, args.k, args.N
     if kind == "G":
         value = dim_G(k, n)
@@ -185,29 +166,28 @@ def _cmd_dim(args) -> int:
                 raise UsageError("delta needs N >= 2")
             value = dim_delta(k, f)
     payload = {"kind": kind, "k": k, "N": n, "value": _json_value(value)}
-    _emit(args, [_fmt_value(value)], payload)
+    _emit(args, [str(value)], payload)
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
-    _check_k(args, args.k)
     k, n = args.k, args.N
     if n < 2:
         raise UsageError("tests need N >= 2")
     oracle = DefaultOracle()
     if args.kind == "squarefree":
         value = _oracle_value(args.value, lambda: oracle.query_A(k, n))
-        verdict = squarefree_test(n, k, value, max_k=args.max_k)
+        verdict = squarefree_test(n, k, value)
         lhs, rhs = dim_G(k, n), value
         compared = ("G", "A")
     else:
         value = _oracle_value(args.value, lambda: oracle.query_B(k, n))
-        verdict = primality_test(n, k, value, max_k=args.max_k)
+        verdict = primality_test(n, k, value)
         lhs, rhs = dim_H(k, n), value
         compared = ("H", "B")
     lines = [
         f"{verdict.conclusion} ({verdict.relation}; "
-        f"{compared[0]}={_fmt_value(lhs)}, {compared[1]}={rhs})"
+        f"{compared[0]}={lhs}, {compared[1]}={rhs})"
     ]
     if verdict.exception_tag:
         lines.append(f"exception: {verdict.exception_tag}")
@@ -226,7 +206,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _check_k(args, args.k)
     k, n = args.k, args.N
     value = _oracle_value(args.value, lambda: DefaultOracle().query_A(k, n))
     rep = square_divisor_bounds(k, n, value)
@@ -238,12 +217,12 @@ def _cmd_bounds(args) -> int:
     }
     if rep.certificate == INTERVAL:
         lines = [
-            f"T0={_fmt_value(rep.T0)} T={_fmt_value(rep.T)} L={rep.curly_L!r} theta={rep.theta!r}",
+            f"T0={rep.T0} T={rep.T} L={rep.curly_L!r} theta={rep.theta!r}",
             f"interval: {rep.x1!r} < d < {rep.x0!r}",
         ]
     else:
         lines = [
-            f"T0={_fmt_value(rep.T0)} T={_fmt_value(rep.T)} L={rep.curly_L!r}",
+            f"T0={rep.T0} T={rep.T} L={rep.curly_L!r}",
             rep.certificate,
         ]
     _emit(args, lines, payload)
@@ -255,8 +234,6 @@ def _factors_json(factors) -> list[list[int]]:
 
 
 def _cmd_factor(args) -> int:
-    _check_k(args, args.k1)
-    _check_k(args, args.k2)
     if args.k1 == args.k2:
         raise UsageError("--k1 and --k2 must differ")
     n = args.N
@@ -272,7 +249,6 @@ def _cmd_factor(args) -> int:
         }
         _emit(args, [f"E={split.E} L={split.L}"], payload)
         return EXIT_OK
-    _check_k(args, args.kb)
     b = _oracle_value(args.b, lambda: oracle.query_B(args.kb, n))
     fac = full_factor_three_values(n, args.k1, a1, args.k2, a2, args.kb, b, rng)
     payload = {"mode": "full", "N": n, "factors": _factors_json(fac.factors)}
@@ -282,8 +258,6 @@ def _cmd_factor(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lo, hi = args.range
-    for k in args.k:
-        _check_k(args, k)
     try:
         check_sweep(lo, hi, args.k)
     except ValueError as exc:

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import twelve_weight_coefficients
+from .arith import primes_below
 from .dimensions import level_one_newform_dim, twelve_G
-from .errors import InvalidWeightError
-
-MAX_WEIGHT = 1 << 20  # public-API cap; keeps G polynomial in the input length
 
 # relation constants
 EQUAL = "EQUAL"
@@ -45,15 +42,7 @@ PRIMALITY_EXCEPTIONS = {(2, 4): -1, (4, 6): 0} | {
 
 # Levels below each characterization's threshold, answered by lookup.
 _SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False, 9: False}
-_PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(
-    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89), True
-)
-
-
-def _check_weight(k: int, max_k: int) -> None:
-    twelve_weight_coefficients(k)  # raises unless k is a positive even weight
-    if k > max_k:
-        raise InvalidWeightError(f"weight {k} exceeds the cap {max_k}")
+_PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(primes_below(92), True)
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ def _verdict(k, N, gap12, relations, conclusions, catalogue, small, names) -> Ve
     return Verdict(relation, conclusions[sign != 0], None, suspicious)
 
 
-def squarefree_test(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> Verdict:
+def squarefree_test(N: int, k: int, a_value: int) -> Verdict:
     """Decide squarefreeness of N from the oracle value a_value = A(k, N).
 
     For N >= 10 the verdict is SQUAREFREE exactly when the closed form
@@ -107,15 +96,14 @@ def squarefree_test(N: int, k: int, a_value: int, max_k: int = MAX_WEIGHT) -> Ve
         raise ValueError(f"level must be >= 2, got {N}")
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
-    _check_weight(k, max_k)
-    return _verdict(
+    return _verdict(  # twelve_G checks the weight
         k, N, twelve_G(k, N) - 12 * a_value,
         (EQUAL, G_GREATER, G_LESS), (SQUAREFREE, NOT_SQUAREFREE),
         SQUAREFREE_EXCEPTIONS, _SQUAREFREE_SMALL, ("A", "G"),
     )
 
 
-def primality_test(N: int, k: int, b_value: int, max_k: int = MAX_WEIGHT) -> Verdict:
+def primality_test(N: int, k: int, b_value: int) -> Verdict:
     """Decide primality of N from the oracle value b_value = B(k, N).
 
     For N >= 92 the verdict is PRIME exactly when dim_H(k, N) equals the
@@ -127,8 +115,7 @@ def primality_test(N: int, k: int, b_value: int, max_k: int = MAX_WEIGHT) -> Ver
         raise ValueError(f"level must be >= 2, got {N}")
     if b_value < 0:
         raise ValueError("oracle values are nonnegative")
-    _check_weight(k, max_k)
-    return _verdict(
+    return _verdict(  # twelve_G checks the weight
         k, N, twelve_G(k, N) - 12 * level_one_newform_dim(k) - 12 * b_value,
         (EQUAL, H_GREATER, H_LESS), (PRIME, COMPOSITE),
         PRIMALITY_EXCEPTIONS, _PRIME_SMALL, ("B", "H"),

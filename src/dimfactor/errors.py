@@ -6,7 +6,7 @@ class DimfactorError(Exception):
 
 
 class InvalidWeightError(DimfactorError, ValueError):
-    """The weight is odd, below 2, or above the configured cap."""
+    """The weight is odd or below 2."""
 
 
 class DomainError(DimfactorError, ValueError):

@@ -211,14 +211,14 @@ def recover_nu23_star(N: int, k: int, a_value: int) -> tuple[int, int]:
         # squarefree exactly when G = A here (N >= 38)
         return (kronecker_m4(N), kronecker_m3(N)) if g_equals_a else (0, 0)
     nu2 = nu3 = 0
-    if by9 and N % 27 != 0:
-        m = N // 9  # starred values (8m, 2, 0, -(-3|m)) when m is squarefree
-        if twelve_combination(k, 8 * m, 2, 0, -kronecker_m3(m)) == a12:
-            nu3 = -kronecker_m3(m)
-    if by4 and N % 8 != 0:
-        m = N // 4  # starred values (3m, 1, -(-4|m), 0) when m is squarefree
-        if twelve_combination(k, 3 * m, 1, -kronecker_m4(m), 0) == a12:
-            nu2 = -kronecker_m4(m)
+    for p in (2, 3):
+        m, r = divmod(N, p * p)
+        if r == 0 and m % p != 0:
+            # N's starred values if m is squarefree: p^2's times m's (m, 1, (-4|m), (-3|m))
+            x, w, y, z, _ = star_local(p, 2)
+            y, z = y * kronecker_m4(m), z * kronecker_m3(m)
+            if twelve_combination(k, x * m, w, y, z) == a12:
+                nu2, nu3 = nu2 + y, nu3 + z  # y = 0 at p = 3, z = 0 at p = 2
     return nu2, nu3
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
@@ -56,12 +57,15 @@ class SweepReport:
 
 
 def check_sweep(lo: int, hi: int, ks) -> None:
-    """Refuse a sweep the kernels cannot run exactly and in bounded memory."""
+    """Refuse a sweep the kernels cannot run exactly and in bounded memory,
+    or at a weight that is not a positive even integer, before any table
+    is built."""
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if hi > MAX_SWEEP_HI:
         raise ValueError(f"HI = {hi} exceeds the sweep cap {MAX_SWEEP_HI}")
     for k in ks:
+        twelve_weight_coefficients(k)  # raises InvalidWeightError
         if (k - 1) * hi >= 1 << 62:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 

@@ -41,8 +41,6 @@ def test_dim_usage_errors(capsys):
     assert code == 64
     code, _, _ = run_cli(capsys, "dim", "A", "2", "0")
     assert code == 64
-    code, _, err = run_cli(capsys, "dim", "A", "4", "11", "--max-k", "2")
-    assert code == 64 and "max-k" in err
 
 
 def test_test_command(capsys):
@@ -183,6 +181,26 @@ def test_factor_full(capsys):
     assert code == 0 and json.loads(out)["factors"] == [[2, 2], [3, 1]]
 
 
+def test_weights_past_the_old_cap(capsys):
+    # every subcommand takes a weight far above 2^20
+    k = 10**8 + 2
+    code, out, _ = run_cli(capsys, "dim", "A", str(k), "44100")
+    assert code == 0 and int(out) == dimensions.dim_A(k, arith.factor_trial(44100))
+    code, out, _ = run_cli(capsys, "test", "squarefree", str(k), "44100")
+    assert code == 0 and out.startswith("NOT_SQUAREFREE")
+    code, out, _ = run_cli(capsys, "test", "prime", str(k), "12491")
+    assert code == 0 and out.startswith("PRIME")
+    code, out, _ = run_cli(capsys, "bounds", str(k), "12493", "--json")
+    assert code == 0 and json.loads(out)["T0"] == (k - 1) * 12493 - 12 * dimensions.dim_A(
+        k, arith.factor_trial(12493)
+    )
+    code, out, _ = run_cli(
+        capsys, "factor", "full", "44100", "--k1", str(k), "--k2", str(k + 2), "--kb", str(k),
+        "--seed", "7", "--json",
+    )
+    assert code == 0 and json.loads(out)["factors"] == [[2, 2], [3, 2], [5, 2], [7, 2]]
+
+
 def test_factor_rejects_equal_weights(capsys):
     code, _, err = run_cli(capsys, "factor", "squarefull", "72", "--k1", "2", "--k2", "2")
     assert code == 64 and "differ" in err
@@ -238,7 +256,7 @@ def test_sweep_cap(capsys, monkeypatch):
     with pytest.raises(ValueError):
         sweeps.trichotomy_sweep(2, MAX_SWEEP_HI + 1, (2,))
     # weights whose tables would overflow int64 are refused the same way
-    code, _, err = run_cli(capsys, "sweep", "2..100", "--k", str(1 << 60), "--max-k", str(1 << 60))
+    code, _, err = run_cli(capsys, "sweep", "2..100", "--k", str(1 << 60))
     assert code == 64 and "too large" in err
 
 
@@ -292,7 +310,8 @@ def test_json_round_trip(capsys):
 
 _WEIGHTS = (2, 4, 6, 12, 14, 26)
 _weights = st.one_of(
-    st.sampled_from(_WEIGHTS), st.integers(-4, 30), st.sampled_from([1 << 20, (1 << 20) + 2, 10**9])
+    st.sampled_from(_WEIGHTS), st.integers(-4, 30), st.sampled_from([1 << 20, (1 << 20) + 2, 10**9]),
+    st.integers(-4, 10**400),
 )
 _levels = st.one_of(st.integers(-3, 60), st.integers(2, 10**6), st.integers(2, 10**400))
 _values = st.one_of(
@@ -342,7 +361,6 @@ _sweep = st.tuples(
 _common = st.lists(st.one_of(
     st.just(["--json"]),
     st.tuples(st.just("--seed"), _text(_values)).map(list),
-    st.tuples(st.just("--max-k"), _text(_weights)).map(list),
 ), max_size=3).map(lambda opts: [x for o in opts for x in o])
 _argvs = st.tuples(
     st.one_of(_dim, _test, _bounds, _factor, _sweep),

@@ -1,6 +1,7 @@
 import pytest
 
 from dimfactor import kernels
+from dimfactor.arith import factor_trial
 from dimfactor.detectors import (
     COMPOSITE,
     EQUAL,
@@ -15,7 +16,7 @@ from dimfactor.detectors import (
     primality_test,
     squarefree_test,
 )
-from dimfactor.dimensions import DefaultOracle
+from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import InvalidWeightError
 
 _ORACLE = DefaultOracle()
@@ -115,12 +116,21 @@ def test_exception_catalogue_pinned(test, value, pair, tag, relation):
 
 
 def test_weight_cap():
-    with pytest.raises(InvalidWeightError):
-        squarefree_test(10, 2 + (1 << 21), 0)
-    with pytest.raises(InvalidWeightError):
-        primality_test(10, 4, 0, max_k=2)
+    # no cap above; an odd weight is still refused
     with pytest.raises(InvalidWeightError):
         squarefree_test(10, 3, 0)
+
+
+@pytest.mark.parametrize("k", [2**21 + 2, 10**30 + 2])
+def test_verdicts_past_the_old_weight_cap(k):
+    # the characterizations hold at every even weight: truthful values far
+    # above 2^20 give the verdicts factor_trial gives, with no warning
+    for n in range(2, 3001):
+        f = factor_trial(n)
+        sf, pr = squarefree_test(n, k, dim_A(k, f)), primality_test(n, k, dim_B(k, f))
+        assert (sf.suspicious, pr.suspicious) == (None, None), n
+        assert sf.conclusion == (SQUAREFREE if f.is_squarefree() else NOT_SQUAREFREE), n
+        assert pr.conclusion == (PRIME if f.factors == ((n, 1),) else COMPOSITE), n
 
 
 def test_rejects_bad_levels_and_values():

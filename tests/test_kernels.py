@@ -5,7 +5,9 @@ import pytest
 
 from dimfactor import kernels
 from dimfactor.arith import factor_trial
+from dimfactor import sweeps
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
+from dimfactor.errors import InvalidWeightError
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
 from dimfactor.sweeps import equality_pairs_at_composites, primality_sweep, trichotomy_sweep
 
@@ -149,6 +151,32 @@ def test_sweeps_refuse_tables_not_covering_window(name, have, want):
     with pytest.raises(ValueError, match=r"\[%d, %d\].*\[%d, %d\]" % (*have, *want)):
         _SWEEPS[name](*want, kernels.build_star_tables(*have))
     _SWEEPS[name](*want, kernels.build_star_tables(*want))  # exact cover is accepted
+
+
+_SWEEPS_AT = {
+    "trichotomy_sweep": lambda k: trichotomy_sweep(2, 10**6, (2, k)),
+    "primality_sweep": lambda k: primality_sweep(2, 10**6, (k,)),
+    "equality_pairs_at_composites": lambda k: equality_pairs_at_composites(2, 10**6, k),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEPS_AT))
+@pytest.mark.parametrize("k", [3, 0, -2])
+def test_sweeps_refuse_bad_weights_before_building_tables(monkeypatch, name, k):
+    def refuse(*_):
+        raise AssertionError("a bad weight must be refused before any table is built")
+
+    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
+    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    with pytest.raises(InvalidWeightError):
+        _SWEEPS_AT[name](k)
+
+
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
+def test_sweeps_past_the_old_weight_cap(sweep):
+    # the trichotomies hold at every even weight; these stay inside int64
+    rep = sweep(2, 20_000, (2**20 + 2, 10**8 + 2, 10**12))
+    assert rep.ok and rep.checked == 3 * 19_999 and rep.exceptions_observed == []
 
 
 _COMBINATIONS = {
