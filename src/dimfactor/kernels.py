@@ -25,6 +25,8 @@ sharp tables plus 12 * delta2 * mu.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
+Importing it does not load numpy: that happens on the first sieve or
+table call, so the single-level commands never pay for it.
 """
 
 from __future__ import annotations
@@ -32,16 +34,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import primes_below
 from .dimensions import level_one_newform_dim
 from .multfuncs import sharp_local, star_local, twelve_combination
 
-# int8: twelve_G holds both Kronecker arrays while the combination runs
-_KRON4 = np.array([0, 1, 0, -1], dtype=np.int8)
-_KRON3 = np.array([0, 1, -1], dtype=np.int8)
+if TYPE_CHECKING:
+    import numpy as np
+
+_KRON4 = (0, 1, 0, -1)  # (-4|N), indexed by N mod 4
+_KRON3 = (0, 1, -1)  # (-3|N), indexed by N mod 3
+
+
+def _kron(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-4|N) and (-3|N) for an array of levels, as int8: twelve_G holds
+    both arrays while the combination runs."""
+    import numpy as np
+
+    return np.array(_KRON4, np.int8)[levels % 4], np.array(_KRON3, np.int8)[levels % 3]
 
 
 # --- the sieve -----------------------------------------------------------
@@ -51,16 +62,17 @@ SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
 
 def _star_at_primes(q: np.ndarray) -> np.ndarray:
     """star_local(q, 1) for an array of primes q, one column each."""
-    return np.stack((q, np.ones_like(q), _KRON4[q % 4], _KRON3[q % 3], np.full_like(q, -1)))
+    import numpy as np
 
-
-# sharp_local(q, 1) is star_local(q, 1) - star_local(q, 0), with the same mu
-_STAR_AT_P0 = np.array([[1], [1], [1], [1], [0]], dtype=np.int64)
+    return np.stack((q, np.ones_like(q), *_kron(q), np.full_like(q, -1)))
 
 
 def _sharp_at_primes(q: np.ndarray) -> np.ndarray:
-    """sharp_local(q, 1) for an array of primes q, one column each."""
-    return _star_at_primes(q) - _STAR_AT_P0
+    """sharp_local(q, 1) for an array of primes q, one column each: it is
+    star_local(q, 1) - star_local(q, 0), with the same mu."""
+    out = _star_at_primes(q)
+    out[:4] -= 1
+    return out
 
 
 def _multiplicative_rows(lo: int, hi: int, local, at_primes):
@@ -75,6 +87,8 @@ def _multiplicative_rows(lo: int, hi: int, local, at_primes):
     factor multiplied in from a table built once per prime power.  What
     is left above 1 is the one prime factor above sqrt(hi).
     """
+    import numpy as np
+
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     small = primes_below(math.isqrt(hi) + 1)
@@ -181,6 +195,8 @@ def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
     No sweep uses it: it is the reference the sharp sieve is tested
     against."""
+    import numpy as np
+
     limit = len(values) - 1
     out = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, limit + 1):
@@ -194,7 +210,7 @@ def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
     """12 * G(k, N) for every level in ``levels``: the closed form at
     (N, 1, (-4|N), (-3|N))."""
-    return twelve_combination(k, levels, 1, _KRON4[levels % 4], _KRON3[levels % 3])
+    return twelve_combination(k, levels, 1, *_kron(levels))
 
 
 def check_covers(tables: StarTables | SharpTables, lo: int, hi: int) -> None:
@@ -247,6 +263,8 @@ def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     carries the level-one dimension so the divisor-sum identity holds
     across the whole range.
     """
+    import numpy as np
+
     b1_12 = 12 * level_one_newform_dim(k)  # checks the weight
     if tables.lo != 0 or tables.hi < 1:
         raise ValueError(f"dimension tables need levels 0..limit, got [{tables.lo}, {tables.hi}]")

@@ -15,8 +15,7 @@ in range are reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
@@ -31,6 +30,9 @@ from .kernels import (
     twelve_B,
     twelve_G,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
@@ -58,14 +60,16 @@ class SweepReport:
 
 def check_sweep(lo: int, hi: int, ks) -> None:
     """Refuse a sweep the kernels cannot run exactly and in bounded memory,
-    or at a weight that is not a positive even integer, before any table
-    is built."""
+    at a weight that is not a positive even integer, or at a weight given
+    twice, before any table is built."""
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if hi > MAX_SWEEP_HI:
         raise ValueError(f"HI = {hi} exceeds the sweep cap {MAX_SWEEP_HI}")
-    for k in ks:
+    for i, k in enumerate(ks):
         twelve_weight_coefficients(k)  # raises InvalidWeightError
+        if k in ks[:i]:
+            raise ValueError(f"weight {k} is given more than once")
         if (k - 1) * hi >= 1 << 62:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 
@@ -75,6 +79,8 @@ def _compare(report: SweepReport, holds: np.ndarray, gap, catalogue) -> SweepRep
     characterization predicts, for every weight of the report: 0 where
     ``holds`` (N squarefree, or prime), +1 elsewhere, and the catalogued
     sign at each pair of ``catalogue`` in range."""
+    import numpy as np
+
     lo, hi = report.lo, report.hi
     for k in report.ks:
         got = np.sign(gap(k))
@@ -97,6 +103,8 @@ def trichotomy_sweep(
     level in [lo, hi] and every weight in ks.  Only the representation
     count is computed; the newform count plays no part here.  Without
     ``tables`` only the window is sieved."""
+    import numpy as np
+
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
     if tables is None:
@@ -131,6 +139,8 @@ def primality_sweep(
     """Check sign(H - B) against the primality trichotomy for every
     level in [lo, hi] and every weight in ks.  Without ``tables`` only
     the window is sieved."""
+    import numpy as np
+
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
     sharp = _sharp_window(lo, hi, tables)
@@ -147,6 +157,8 @@ def equality_pairs_at_composites(
 ) -> list[int]:
     """Composite levels in [lo, hi] where H(k, .) equals B(k, .), i.e.
     the observed equality exceptions at weight k."""
+    import numpy as np
+
     check_sweep(lo, hi, (k,))
     sharp = _sharp_window(lo, hi, tables)
     idx = np.arange(lo, hi + 1, dtype=np.int64)

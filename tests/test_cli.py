@@ -253,6 +253,10 @@ def test_sweep_cap(capsys, monkeypatch):
         assert err.startswith("error:") and str(MAX_SWEEP_HI) in err and len(err.splitlines()) == 1
         code, _, err = run_cli(capsys, "sweep", "2..10000000000000", "--mode", mode, "--json")
         assert code == 64 and "sweep cap" in err
+        # so is a weight given twice
+        code, out, err = run_cli(capsys, "sweep", "2..100", "--k", "2,4,2", "--mode", mode)
+        assert code == 64 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error:") and "weight 2 is given more than once" in err
     with pytest.raises(ValueError):
         sweeps.trichotomy_sweep(2, MAX_SWEEP_HI + 1, (2,))
     # weights whose tables would overflow int64 are refused the same way
@@ -269,18 +273,63 @@ def test_seed_determinism(capsys):
     assert len(outs) == 1
 
 
-def test_console_entry_point():
-    # the child imports the same dimfactor as this process, installed or not
+def _child(*args):
+    """Run ``python *args`` in a fresh process that imports the same
+    dimfactor as this one, installed or not."""
     root = os.path.dirname(os.path.dirname(dimfactor.__file__))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
-    out = subprocess.run(
-        [sys.executable, "-m", "dimfactor", "dim", "A", "2", "11"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    out = _child("-m", "dimfactor", "dim", "A", "2", "11")
     assert out.returncode == 0 and out.stdout.strip() == "1"
+
+
+# runs the CLI on argv, then prints whether numpy was ever imported
+_CLI_THEN_NUMPY = (
+    "import sys; from dimfactor.cli import main; main(sys.argv[1:]); print('numpy' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_loaded",
+    [
+        (["dim", "A", "2", "11"], False),
+        (["dim", "B", "12", "5000"], False),
+        (["test", "squarefree", "2", "12", str(dimensions.dim_A(2, arith.factor_trial(12)))], False),
+        (["test", "prime", "2", "97", str(dimensions.dim_B(2, arith.factor_trial(97)))], False),
+        (["bounds", "2", "12493", str(dimensions.dim_A(2, arith.factor_trial(12493)))], False),
+        (["factor", "full", "12493"], False),
+        (["factor", "squarefull", "8640"], False),
+        (["sweep", "2..1000", "--k", "2"], True),
+    ],
+)
+def test_numpy_loads_only_when_a_sweep_runs(argv, numpy_loaded):
+    out = _child("-c", _CLI_THEN_NUMPY, *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(numpy_loaded)
+
+
+def test_library_calls_do_not_load_numpy():
+    out = _child("-c", "import sys, dimfactor as d; d.dim_A(2, d.factor_trial(11)); "
+                 "print('numpy' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
+
+
+def test_cli_import_keeps_the_sweep_modules_loaded():
+    # perfbench/spans.py reads the kernel and sweep functions out of
+    # sys.modules once the CLI is imported, so both modules must load with
+    # it; numpy must not
+    from dimfactor import sweeps
+
+    assert dimfactor.trichotomy_sweep is sweeps.trichotomy_sweep
+    assert dimfactor.primality_sweep is sweeps.primality_sweep
+    assert dimfactor.SweepReport is sweeps.SweepReport
+    out = _child("-c", "import sys, dimfactor.cli; "
+                 "print([m in sys.modules for m in ('dimfactor.kernels', 'dimfactor.sweeps', 'numpy')])")
+    assert out.returncode == 0 and out.stdout.strip() == "[True, True, False]", out.stderr
 
 
 def test_json_round_trip(capsys):

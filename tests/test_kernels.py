@@ -173,6 +173,20 @@ def test_sweeps_refuse_bad_weights_before_building_tables(monkeypatch, name, k):
 
 
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
+@pytest.mark.parametrize("ks", [(2, 2), (4, 2, 12, 4)])
+def test_sweeps_refuse_a_repeated_weight_before_building_tables(monkeypatch, sweep, ks):
+    # equality_pairs_at_composites takes a single weight, so only these two
+    # can be handed one twice
+    def refuse(*_):
+        raise AssertionError("a repeated weight must be refused before any table is built")
+
+    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
+    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    with pytest.raises(ValueError, match="more than once"):
+        sweep(2, 1000, ks)
+
+
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
 def test_sweeps_past_the_old_weight_cap(sweep):
     # the trichotomies hold at every even weight; these stay inside int64
     rep = sweep(2, 20_000, (2**20 + 2, 10**8 + 2, 10**12))
