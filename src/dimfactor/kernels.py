@@ -5,23 +5,27 @@ keeps the arithmetic exact for every range a sweep accepts: the largest
 intermediate is about (k - 1) * hi, which the sweeps keep below 2^62
 (levels up to ``sweeps.MAX_SWEEP_HI`` = 10^7).
 
-One blocked sieve (:func:`_multiplicative_rows`) fills both table
-families over any window lo..hi, by multiplying the local factors of
-:mod:`~dimfactor.multfuncs` along each level's prime factors:
+One sieve (:func:`_sieve`) multiplies the local factors of
+:mod:`~dimfactor.multfuncs` along each level's prime factors over any
+window lo..hi and yields the result block by block, so a sweep holds one
+block at a time.  Its strides are the multiples of p^min_e for each prime
+p <= sqrt(hi), less p itself:
 
-* the star tables (:func:`build_star_tables`): the four starred
-  functions and the Mobius function, the five entries of
-  :func:`~dimfactor.multfuncs.star_local`.
-* the sharp tables (:func:`build_sharp_tables`): the four sharp
+* the sharp blocks (:func:`sharp_blocks`, min_e = 1): the four sharp
   functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
-  inverses of the starred ones), mu, and primality.  No Mobius inversion
-  runs on any sweep; :func:`mobius_invert` stays as the reference the
-  tests check the sharp sieve against.
+  inverses of the starred ones) and mu; the levels no stride touches are
+  the primes.  No Mobius inversion runs on any sweep; :func:`mobius_invert`
+  stays as the reference the tests check the sharp sieve against.
+* the star blocks (:func:`star_blocks`, min_e = 2): the four starred
+  functions of :func:`~dimfactor.multfuncs.star_local`, from the strides
+  of p^2 alone and the squarefree rest; the levels no stride touches are
+  the squarefree ones.
 
-G, A and B are each :func:`~dimfactor.multfuncs.twelve_combination`,
-the one closed form the exact path evaluates too, applied to whole
-arrays: G at (N, 1, (-4|N), (-3|N)), A at the star tables, B at the
-sharp tables plus 12 * delta2 * mu.
+:func:`build_sharp_tables` and :func:`build_star_tables` fill whole
+tables from the same blocks.  G, A and B are each
+:func:`~dimfactor.multfuncs.twelve_combination`, the one closed form the
+exact path evaluates too, applied to arrays: G at (N, 1, (-4|N), (-3|N)),
+A at the star rows, B at the sharp rows plus 12 * delta2 * mu.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
@@ -32,7 +36,7 @@ table call, so the single-level commands never pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -43,16 +47,15 @@ from .multfuncs import sharp_local, star_local, twelve_combination
 if TYPE_CHECKING:
     import numpy as np
 
-_KRON4 = (0, 1, 0, -1)  # (-4|N), indexed by N mod 4
-_KRON3 = (0, 1, -1)  # (-3|N), indexed by N mod 3
+_KRON12 = ((0, 1, 0, -1) * 3, (0, 1, -1) * 4)  # (-4|N) and (-3|N), indexed by N mod 12
 
 
-def _kron(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-4|N) and (-3|N) for an array of levels, as int8: twelve_G holds
-    both arrays while the combination runs."""
+def _kron(levels: np.ndarray) -> np.ndarray:
+    """(-4|N) and (-3|N) for an array of levels, as two int8 rows: twelve_G
+    holds both while the combination runs."""
     import numpy as np
 
-    return np.array(_KRON4, np.int8)[levels % 4], np.array(_KRON3, np.int8)[levels % 3]
+    return np.take(np.array(_KRON12, np.int8), levels % 12, axis=1)
 
 
 # --- the sieve -----------------------------------------------------------
@@ -60,75 +63,102 @@ def _kron(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
 
 
-def _star_at_primes(q: np.ndarray) -> np.ndarray:
-    """star_local(q, 1) for an array of primes q, one column each."""
-    import numpy as np
-
-    return np.stack((q, np.ones_like(q), *_kron(q), np.full_like(q, -1)))
-
-
-def _sharp_at_primes(q: np.ndarray) -> np.ndarray:
-    """sharp_local(q, 1) for an array of primes q, one column each: it is
-    star_local(q, 1) - star_local(q, 0), with the same mu."""
-    out = _star_at_primes(q)
-    out[:4] -= 1
-    return out
+def _sharp_rest(acc: np.ndarray, q: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Multiply in sharp_local(q, 1) = (q - 1, 0, (-4|q) - 1, (-3|q) - 1, -1)
+    where the rest q is a prime, and 1 where it is 1; return the primality
+    mask.  Subtracting ``big`` (q > 1) in place of 1 does both, since both
+    Kronecker symbols read 1 at q = 1."""
+    big = q > 1
+    acc[0] *= q - big
+    acc[1] *= ~big
+    acc[2:4] *= _kron(q) - big
+    acc[4] *= 1 - 2 * big
+    return big & (q == levels)
 
 
-def _multiplicative_rows(lo: int, hi: int, local, at_primes):
-    """Five multiplicative functions over levels lo..hi, given by their
-    local factors ``local(p, e)`` (a 5-tuple, e >= 1) and, for an array of
-    primes q, ``at_primes(q)`` = the columns local(q, 1); also the
-    primality of each level.  Level 0 reads 0 in every row.
+def _star_rest(acc: np.ndarray, m: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Multiply in the starred values (m, 1, (-4|m), (-3|m)) of the
+    squarefree rest m; return the squarefree mask.  Row 4 is left as the
+    strides made it, 1 on squarefree levels and 0 elsewhere."""
+    acc[0] *= m
+    acc[2:4] *= _kron(m)
+    return m == levels
 
-    Each block of SIEVE_BLOCK levels walks the primes p <= sqrt(hi) in
-    increasing order: the exact power of p in every multiple is read off
-    the strided multiples of p, p^2, ..., divided out, and its local
-    factor multiplied in from a table built once per prime power.  What
-    is left above 1 is the one prime factor above sqrt(hi).
+
+def _sieve(lo: int, hi: int, local, min_e: int, rest):
+    """Yield, for each block of SIEVE_BLOCK levels in lo..hi (level 0
+    excluded), (levels, rows, mask): five multiplicative functions with
+    local factors ``local(p, e)``, as rows of shape (5, len(levels)).
+
+    The local-factor rows are tabled once per prime power, before the
+    first block.  Each block walks the primes p <= sqrt(hi) in increasing
+    order: the exact power p^e, e >= min_e, of every multiple of p^min_e
+    other than p itself is read off the strided multiples of p^min_e,
+    p^(min_e+1), ..., divided out, and its local factor multiplied in.
+    ``rest(rows, r, levels)`` multiplies in the factors of what is left,
+    r, and returns the mask: the levels no stride touched.
     """
     import numpy as np
 
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    small = primes_below(math.isqrt(hi) + 1)
     factors = []  # ([p^0, p^1, ...], the same as an array, local factor rows by exponent)
-    for p in small:
+    for p in primes_below(math.isqrt(hi) + 1):
         pows = [1]
         while pows[-1] * p <= hi:
             pows.append(pows[-1] * p)
         rows = [(1,) * 5] + [local(p, e) for e in range(1, len(pows))]
         factors.append((pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64)))
-    out = np.ones((5, hi - lo + 1), dtype=np.int64)
-    prime = np.zeros(hi - lo + 1, dtype=bool)
-    if lo == 0:
-        out[:, 0] = 0
     exps = np.empty(SIEVE_BLOCK, dtype=np.int64)
     for a in range(max(lo, 1), hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - a)
         levels = np.arange(a, a + size, dtype=np.int64)
         rem = levels.copy()
-        acc = out[:, a - lo : a - lo + size]
+        acc = np.ones((5, size), dtype=np.int64)
         for pows, pow_arr, rows in factors:
-            p = pows[1]
-            first = -a % p
+            step = pows[min_e]
+            first = max(-a % step, 2 * pows[1] - a)
             if first >= size:
                 continue
-            for e in range(1, len(pows)):
+            for e in range(min_e, len(pows)):
                 start = -a % pows[e]
                 if start >= size:
                     break
                 exps[start : size : pows[e]] = e
-            e_at = exps[first:size:p]
-            rem[first::p] //= pow_arr[e_at]
-            acc[:, first::p] *= rows[e_at].T
-        rest = np.flatnonzero(rem > 1)
-        acc[:, rest] *= at_primes(rem[rest])
-        prime[a - lo : a - lo + size] = (rem == levels) & (levels >= 2)
-    for p in small:
-        if lo <= p <= hi:
-            prime[p - lo] = True
-    return out, prime
+            e_at = exps[first:size:step]
+            rem[first::step] //= pow_arr[e_at]
+            acc[:, first::step] *= rows[e_at].T
+        yield levels, acc, rest(acc, rem, levels)
+
+
+def sharp_blocks(lo: int, hi: int):
+    """The sharp sieve over levels lo..hi, block by block: rows N*s0#,
+    nu_inf#, nu2#, nu3#, mu, and primality as the mask.  The strides of p
+    skip p itself, so a prime is left whole to the rest step."""
+    return _sieve(lo, hi, sharp_local, 1, _sharp_rest)
+
+
+def star_blocks(lo: int, hi: int):
+    """The star sieve over levels lo..hi, block by block: rows N*s0*,
+    nu_inf*, nu2*, nu3*, |mu|, and squarefreeness as the mask.  At p || N
+    the starred local factor is (p, 1, (-4|p), (-3|p)), so with N = L*m,
+    L the squarefull part, the rows are those of L, from the strides of
+    p^2, times those of the squarefree rest m."""
+    return _sieve(lo, hi, star_local, 2, _star_rest)
+
+
+def _fill(lo: int, hi: int, blocks):
+    """Whole-range rows and mask over lo..hi from a sieve's blocks; level 0
+    reads 0 in every row."""
+    import numpy as np
+
+    rows = np.zeros((5, hi - lo + 1), dtype=np.int64)
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    for levels, acc, m in blocks:
+        i = int(levels[0]) - lo
+        rows[:, i : i + len(m)] = acc
+        mask[i : i + len(m)] = m
+    return (*rows, mask)
 
 
 @dataclass(frozen=True)
@@ -150,17 +180,15 @@ class SharpTables:
 def build_sharp_tables(lo: int, hi: int) -> SharpTables:
     """Sieve the sharp functions over levels lo..hi, in blocks, without
     touching any level below lo."""
-    rows, prime = _multiplicative_rows(lo, hi, sharp_local, _sharp_at_primes)
-    x, w, y, z, mu = rows
-    return SharpTables(lo=lo, hi=hi, x=x, w=w, y=y, z=z, mu=mu, prime=prime)
+    return SharpTables(lo, hi, *_fill(lo, hi, sharp_blocks(lo, hi)))
 
 
 @dataclass(frozen=True)
 class StarTables:
     """Star sieve output over levels lo..hi (index i is level lo + i):
-    the integer N*s0*(N), the three other starred values, and the Mobius
-    function.  ``sharp`` holds the sharp tables over the same levels,
-    sieved on first use."""
+    the integer N*s0*(N), the three other starred values, and whether each
+    level is squarefree.  ``sharp`` holds the sharp tables over the same
+    levels, sieved on first use; the signed Mobius function is there."""
 
     lo: int
     hi: int
@@ -168,7 +196,7 @@ class StarTables:
     nu_inf: np.ndarray
     nu2: np.ndarray
     nu3: np.ndarray
-    mu: np.ndarray
+    squarefree: np.ndarray
 
     @cached_property
     def sharp(self) -> SharpTables:
@@ -176,11 +204,10 @@ class StarTables:
 
 
 def build_star_tables(lo: int, hi: int) -> StarTables:
-    """Sieve the starred functions and mu over levels lo..hi, in blocks,
-    without touching any level below lo."""
-    rows, _ = _multiplicative_rows(lo, hi, star_local, _star_at_primes)
-    ns0, nu_inf, nu2, nu3, mu = rows
-    return StarTables(lo=lo, hi=hi, ns0=ns0, nu_inf=nu_inf, nu2=nu2, nu3=nu3, mu=mu)
+    """Sieve the starred functions and squarefreeness over levels lo..hi,
+    in blocks, without touching any level below lo."""
+    ns0, nu_inf, nu2, nu3, _, squarefree = _fill(lo, hi, star_blocks(lo, hi))
+    return StarTables(lo, hi, ns0, nu_inf, nu2, nu3, squarefree)
 
 
 @lru_cache(maxsize=4)
@@ -211,6 +238,27 @@ def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
     """12 * G(k, N) for every level in ``levels``: the closed form at
     (N, 1, (-4|N), (-3|N))."""
     return twelve_combination(k, levels, 1, *_kron(levels))
+
+
+def minus_G_rows(levels: np.ndarray, rows) -> tuple[np.ndarray, ...]:
+    """(N, 1, (-4|N), (-3|N)) minus the first four ``rows`` at each level N.
+    twelve_combination is linear, so at any weight it maps these to 12 * G
+    minus the closed form at the rows: the Kronecker rows are read once
+    for every weight."""
+    k4, k3 = _kron(levels)
+    return levels - rows[0], 1 - rows[1], k4 - rows[2], k3 - rows[3]
+
+
+def table_block(tables: StarTables | SharpTables, lo: int, hi: int):
+    """Levels lo..hi of whole-range tables as one block, in the form the
+    sieve yields: (levels, rows, mask).  A window the tables do not cover
+    raises ValueError."""
+    import numpy as np
+
+    check_covers(tables, lo, hi)
+    sl = slice(lo - tables.lo, hi - tables.lo + 1)
+    *rows, mask = (getattr(tables, f.name)[sl] for f in fields(tables)[2:])
+    return np.arange(lo, hi + 1, dtype=np.int64), rows, mask
 
 
 def check_covers(tables: StarTables | SharpTables, lo: int, hi: int) -> None:

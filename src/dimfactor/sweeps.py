@@ -2,9 +2,11 @@
 
 A sweep compares the sign pattern of the closed-form-vs-oracle gap over a
 whole level range with what the squarefree and primality
-characterizations predict, using the exact integer kernel tables: the
-starred tables in squarefree mode, the sharp tables in primality mode,
-each sieved over the window alone unless tables are passed in.  Both
+characterizations predict, using the exact integer kernel rows: the
+starred rows in squarefree mode, the sharp rows in primality mode.  It
+sieves the window alone and compares each block as soon as it is sieved,
+keeping only counters, violations and catalogued pairs, unless tables are
+passed in, which it reads as one block.  Both
 modes run one comparison: the gap's sign must be 0 where the
 characterization holds, +1 elsewhere, and at each pair of the detectors'
 catalogue (``SQUAREFREE_EXCEPTIONS`` or ``PRIMALITY_EXCEPTIONS``) the
@@ -15,30 +17,18 @@ in range are reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .arith import twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
-from .kernels import (
-    SharpTables,
-    StarTables,
-    build_sharp_tables,
-    build_star_tables,
-    check_covers,
-    twelve_A,
-    twelve_B,
-    twelve_G,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .kernels import StarTables, check_covers, minus_G_rows, sharp_blocks, star_blocks, table_block
+from .multfuncs import twelve_combination
 
 SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
 
 # Largest level a sweep accepts: the range the kernels' int64 exactness
-# note covers.  Tables at the cap take several hundred megabytes.
+# note covers.  A sweep streams its window, so its memory is one block.
 MAX_SWEEP_HI = 10**7
 
 
@@ -74,26 +64,48 @@ def check_sweep(lo: int, hi: int, ks) -> None:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
 
 
-def _compare(report: SweepReport, holds: np.ndarray, gap, catalogue) -> SweepReport:
-    """Compare sign(gap(k)) over the report's levels with what the
-    characterization predicts, for every weight of the report: 0 where
-    ``holds`` (N squarefree, or prime), +1 elsewhere, and the catalogued
-    sign at each pair of ``catalogue`` in range."""
+def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
+    """Compare sign(gap) block by block with what the characterization
+    predicts, for every weight of the report: 0 where the block's mask
+    holds (N squarefree, or prime), +1 elsewhere, and the catalogued sign
+    at each pair of ``catalogue`` in range.  ``gap(levels, rows)`` gives
+    the block's gap as a function of the weight.  Violations are listed
+    weight by weight, each in level order."""
     import numpy as np
 
     lo, hi = report.lo, report.hi
-    for k in report.ks:
-        got = np.sign(gap(k))
-        expected = np.where(holds, 0, 1)
-        for (kk, n), sign in catalogue.items():
-            if kk == k and lo <= n <= hi:
-                expected[n - lo] = sign
-                report.exceptions_observed.append((k, n))
-        bad = np.flatnonzero(got != expected)
-        for i in bad:
-            report.violations.append((k, lo + int(i), int(expected[i]), int(got[i])))
-        report.checked += hi - lo + 1
+    pairs = [(k, n, sign) for k in report.ks
+             for (kk, n), sign in catalogue.items() if kk == k and lo <= n <= hi]
+    report.exceptions_observed = [(k, n) for k, n, _ in pairs]
+    found = {k: [] for k in report.ks}
+    for levels, rows, holds in blocks:
+        a, at = int(levels[0]), gap(levels, rows)
+        for k in report.ks:
+            got = np.sign(at(k))
+            expected = np.where(holds, 0, 1)
+            for kk, n, sign in pairs:
+                if kk == k and a <= n < a + len(levels):
+                    expected[n - a] = sign
+            for i in np.flatnonzero(got != expected):
+                found[k].append((k, a + int(i), int(expected[i]), int(got[i])))
+            report.checked += len(levels)
+    report.violations = [v for k in report.ks for v in found[k]]
     return report
+
+
+def _g_minus_a(levels, rows):
+    """12 (G - A) at any weight, over one star block."""
+    gaps = minus_G_rows(levels, rows)
+    return lambda k: twelve_combination(k, *gaps)
+
+
+def _h_minus_b(levels, rows):
+    """12 (H - B) at any weight, over one sharp block: G less the closed
+    form at the sharp rows, less the level-one count and delta2 * mu."""
+    gaps = minus_G_rows(levels, rows)
+    return lambda k: twelve_combination(k, *gaps) - 12 * (
+        level_one_newform_dim(k) + (rows[4] if k == 2 else 0)
+    )
 
 
 def trichotomy_sweep(
@@ -102,54 +114,33 @@ def trichotomy_sweep(
     """Check sign(G - A) against the squarefree trichotomy for every
     level in [lo, hi] and every weight in ks.  Only the representation
     count is computed; the newform count plays no part here.  Without
-    ``tables`` only the window is sieved."""
-    import numpy as np
-
+    ``tables`` the window is sieved and compared block by block."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    if tables is None:
-        tables = build_star_tables(lo, hi)
-    check_covers(tables, lo, hi)
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    squarefree = tables.mu[lo - tables.lo : hi - tables.lo + 1] != 0
+    blocks = star_blocks(lo, hi) if tables is None else [table_block(tables, lo, hi)]
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
-    return _compare(
-        report, squarefree,
-        lambda k: twelve_G(k, idx) - twelve_A(k, tables, lo, hi), SQUAREFREE_EXCEPTIONS,
-    )
+    return _compare(report, blocks, _g_minus_a, SQUAREFREE_EXCEPTIONS)
 
 
-def _sharp_window(lo: int, hi: int, tables: StarTables | None) -> SharpTables:
-    """The sharp tables covering [lo, hi]: those of ``tables`` when given,
-    otherwise sieved over the window alone."""
+def _sharp_window(lo: int, hi: int, tables: StarTables | None):
+    """The sharp blocks covering [lo, hi]: the sharp tables of ``tables``
+    as one block when given, otherwise the window sieved block by block."""
     if tables is None:
-        return build_sharp_tables(lo, hi)
+        return sharp_blocks(lo, hi)
     check_covers(tables, lo, hi)
-    return tables.sharp
-
-
-def _twelve_H_minus_B(k: int, idx: np.ndarray, sharp: SharpTables) -> np.ndarray:
-    lo, hi = int(idx[0]), int(idx[-1])
-    return twelve_G(k, idx) - 12 * level_one_newform_dim(k) - twelve_B(k, sharp, lo, hi)
+    return [table_block(tables.sharp, lo, hi)]
 
 
 def primality_sweep(
     lo: int, hi: int, ks, tables: StarTables | None = None
 ) -> SweepReport:
     """Check sign(H - B) against the primality trichotomy for every
-    level in [lo, hi] and every weight in ks.  Without ``tables`` only
-    the window is sieved."""
-    import numpy as np
-
+    level in [lo, hi] and every weight in ks.  Without ``tables`` the
+    window is sieved and compared block by block."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    sharp = _sharp_window(lo, hi, tables)
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
-    return _compare(
-        report, prime, lambda k: _twelve_H_minus_B(k, idx, sharp), PRIMALITY_EXCEPTIONS
-    )
+    return _compare(report, _sharp_window(lo, hi, tables), _h_minus_b, PRIMALITY_EXCEPTIONS)
 
 
 def equality_pairs_at_composites(
@@ -157,11 +148,9 @@ def equality_pairs_at_composites(
 ) -> list[int]:
     """Composite levels in [lo, hi] where H(k, .) equals B(k, .), i.e.
     the observed equality exceptions at weight k."""
-    import numpy as np
-
     check_sweep(lo, hi, (k,))
-    sharp = _sharp_window(lo, hi, tables)
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    prime = sharp.prime[lo - sharp.lo : hi - sharp.lo + 1]
-    eq = _twelve_H_minus_B(k, idx, sharp) == 0
-    return [int(n) for n in idx[eq & ~prime]]
+    out = []
+    for levels, rows, prime in _sharp_window(lo, hi, tables):
+        eq = _h_minus_b(levels, rows)(k) == 0
+        out += levels[eq & ~prime].tolist()
+    return out

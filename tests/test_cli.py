@@ -245,8 +245,8 @@ def test_sweep_cap(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("the sweep must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
-    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    monkeypatch.setattr(sweeps, "star_blocks", refuse)
+    monkeypatch.setattr(sweeps, "sharp_blocks", refuse)
     for mode in ("squarefree", "prime"):
         code, out, err = run_cli(capsys, "sweep", f"2..{MAX_SWEEP_HI + 1}", "--mode", mode)
         assert code == 64 and out == ""

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +37,16 @@ def test_star_tables_match_exact_path(np_tables):
         assert t.nu_inf[n] == nu_inf_star(f)
         assert t.nu2[n] == nu2_star(f)
         assert t.nu3[n] == nu3_star(f)
-        assert t.mu[n] == f.mobius()
+        assert t.squarefree[n] == (f.mobius() != 0)
+        assert t.sharp.mu[n] == f.mobius()
 
 
 def test_star_tables_match_definitions(np_tables, star_definitions):
-    for name, want in star_definitions.items():
-        assert np.array_equal(getattr(np_tables, name), want), name
+    for name in ("ns0", "nu_inf", "nu2", "nu3"):
+        assert np.array_equal(getattr(np_tables, name), star_definitions[name]), name
+    mu = star_definitions["mu"]
+    assert np.array_equal(np_tables.squarefree, mu != 0)
+    assert np.array_equal(np_tables.sharp.mu, mu)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 12, 14, 16, 26])
@@ -55,16 +60,19 @@ def test_dimension_tables_match_exact_path(np_tables, k):
         assert Fraction(int(dims.H12[n]), 12) == dim_H(k, n)
 
 
-def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables):
-    # the sharp sieve against the reference inversion, for every n <= LIMIT
+def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables, star_definitions):
+    # the sharp sieve against the reference inversion, for every n <= LIMIT,
+    # inverting with a mu the sieve did not make
     t, sharp = np_tables, np_tables.sharp
-    assert (sharp.lo, sharp.hi) == (0, LIMIT)
+    mu = star_definitions["mu"]
+    assert (sharp.lo, sharp.hi) == (0, LIMIT) and len(mu) == LIMIT + 1
     for star, got in ((t.ns0, sharp.x), (t.nu_inf, sharp.w), (t.nu2, sharp.y), (t.nu3, sharp.z)):
-        assert np.array_equal(got, kernels.mobius_invert(star, t.mu))
+        assert np.array_equal(got, kernels.mobius_invert(star, mu))
     unit = np.zeros(LIMIT + 1, dtype=np.int64)
     unit[1] = 1
-    assert np.array_equal(sharp.mu, kernels.mobius_invert(unit, t.mu))
-    assert np.array_equal(sharp.mu, t.mu)
+    assert np.array_equal(sharp.mu, kernels.mobius_invert(unit, mu))
+    assert np.array_equal(sharp.mu, mu)
+    assert np.array_equal(t.squarefree, mu != 0)
     prime = np.zeros(LIMIT + 1, dtype=bool)
     prime[_sieve_primes(LIMIT)] = True
     assert np.array_equal(sharp.prime, prime)
@@ -122,16 +130,61 @@ def test_dimension_tables_need_levels_from_zero():
             kernels.dimension_tables(2, kernels.build_star_tables(lo, hi))
 
 
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep, equality_pairs_at_composites])
+def test_window_sweeps_match_whole_range_tables(monkeypatch, np_tables, sweep):
+    # a sweep that streams its window block by block reports what one
+    # reading the whole-range tables as one block reports, field by field
+    # and in the same order, also when the window spans many blocks
+    def run(lo, hi, tables=None):
+        if sweep is equality_pairs_at_composites:
+            return [sweep(lo, hi, k, tables) for k in (2, 4, 12)]
+        rep = sweep(lo, hi, (2, 4, 12), tables)
+        assert rep.checked == 3 * (hi - lo + 1)
+        return vars(rep)
+
+    for block in (64, 1000, 4099, 1 << 16):
+        monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
+        for lo, hi in [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]:
+            assert run(lo, hi) == run(lo, hi, np_tables), (block, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "sweep,catalogue",
+    [(trichotomy_sweep, "SQUAREFREE_EXCEPTIONS"), (primality_sweep, "PRIMALITY_EXCEPTIONS")],
+)
+def test_streamed_violations_come_weight_by_weight(monkeypatch, np_tables, sweep, catalogue):
+    # a doctored catalogue: one true pair dropped, and signs no level takes
+    # at two weights in different blocks of 1000.  The stream lists the
+    # violations as the one-block read does, weight by weight in the order
+    # given and each in level order, so the CLI's first 50 stay the same.
+    doctored = dict(getattr(sweeps, catalogue))
+    del doctored[(2, 9)]
+    doctored |= {(2, 17_777): -1, (4, 5_003): -1, (2, 3_001): -1, (4, 2_500): -1}
+    monkeypatch.setattr(sweeps, catalogue, doctored)
+    monkeypatch.setattr(kernels, "SIEVE_BLOCK", 1000)
+    got, want = sweep(2, LIMIT, (4, 2, 12)), sweep(2, LIMIT, (4, 2, 12), np_tables)
+    assert vars(got) == vars(want)
+    assert [v[:3] for v in got.violations] == [
+        (4, 2_500, -1), (4, 5_003, -1), (2, 9, 1), (2, 3_001, -1), (2, 17_777, -1)
+    ]
+    assert (2, 9) not in got.exceptions_observed and (4, 5_003) in got.exceptions_observed
+
+
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
-def test_window_sweeps_match_whole_range_tables(np_tables, sweep):
-    # a sweep that sieves its window alone reports what one reading the
-    # whole-range tables reports
-    for lo, hi in [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]:
-        got, want = sweep(lo, hi, (2, 4, 12)), sweep(lo, hi, (2, 4, 12), np_tables)
-        assert (got.checked, got.violations, got.exceptions_observed) == (
-            want.checked, want.violations, want.exceptions_observed
-        ), (lo, hi)
-        assert got.checked == 3 * (hi - lo + 1)
+def test_sweep_memory_does_not_grow_with_the_window(sweep):
+    # numpy reports its allocations to tracemalloc: the peak of a streamed
+    # sweep is one block, whatever the window's width
+    def peak(hi):
+        tracemalloc.start()
+        try:
+            assert sweep(2, hi, (2, 4)).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep(2, 2 * 10**5, (2, 4))
+    small, large = peak(2 * 10**5), peak(8 * 10**5)
+    assert abs(large - small) < 1 << 20, (small, large)
 
 
 _SWEEPS = {
@@ -166,8 +219,8 @@ def test_sweeps_refuse_bad_weights_before_building_tables(monkeypatch, name, k):
     def refuse(*_):
         raise AssertionError("a bad weight must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
-    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    monkeypatch.setattr(sweeps, "star_blocks", refuse)
+    monkeypatch.setattr(sweeps, "sharp_blocks", refuse)
     with pytest.raises(InvalidWeightError):
         _SWEEPS_AT[name](k)
 
@@ -180,8 +233,8 @@ def test_sweeps_refuse_a_repeated_weight_before_building_tables(monkeypatch, swe
     def refuse(*_):
         raise AssertionError("a repeated weight must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "build_star_tables", refuse)
-    monkeypatch.setattr(sweeps, "build_sharp_tables", refuse)
+    monkeypatch.setattr(sweeps, "star_blocks", refuse)
+    monkeypatch.setattr(sweeps, "sharp_blocks", refuse)
     with pytest.raises(ValueError, match="more than once"):
         sweep(2, 1000, ks)
 
