@@ -47,7 +47,6 @@ from .errors import (
 )
 from .multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
 from .reductions import (
-    SharpGuess,
     SquarefullSplit,
     factor_given_phi_multiple,
     factor_squarefull_from_invariants,

@@ -92,6 +92,7 @@ def _mr_composite_witness(n: int, a: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.
 
@@ -103,6 +104,11 @@ def is_probable_prime(n: int) -> bool:
     probabilistic: 64 bases drawn from ``random.Random(n)`` push the
     error probability for composites below 4**-64, and the answer
     depends only on n.
+
+    Because of that, the last 1024 answers are memoized: a prime that
+    a reduction certifies, builds into a Factorization and merges into
+    its result is tested once, and the memo's size does not grow with
+    the number of calls.
     """
     if n < 2:
         return False

@@ -2,19 +2,21 @@
 
 The black-box discipline is strict: nothing here reads the factorization
 of the input level except through the supplied oracle values, O(1)
-divisibility checks by 4, 8, 9 and 27, and trial division by primes the
-algorithms themselves discover.  In particular the ground-truth
+divisibility checks by 4, 8, 9 and 27, the O(1) residues mod 4 and mod 3
+of the squarefree part E once it is known, and trial division by primes
+the algorithms themselves discover.  In particular the ground-truth
 factorizer is never imported.
 
 The two-value reduction finds the squarefull part L of N and the split
 N = E * L, dividing the starred values of each peeled prime power out of
 the invariants; the three-value reduction then tries only the sharp
-triples possible for that split (at most 392 when E < 2^48) and gates
-each candidate totient of E with one Fermat check before the
-totient-multiple factorizer runs.  Both read those values of prime powers
-they found as :func:`~dimfactor.multfuncs.local_product` of the local
-factors.  Their only randomness is the caller's ``random.Random``, and
-their one work bound is :data:`SPLIT_ROUNDS`.
+triples possible for that split and for E's residues mod 4 and mod 3 (at
+most 20 when E < 2^48) and gates each candidate totient of E with one
+Fermat check before the totient-multiple factorizer runs.  Both read
+those values of prime powers they found as
+:func:`~dimfactor.multfuncs.local_product` of the local factors.  Their
+only randomness is the caller's ``random.Random``, and their one work
+bound is :data:`SPLIT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -313,16 +315,6 @@ def factor_squarefull_two_values(
 # --- full factorization from three oracle values --------------------------
 
 
-@dataclass(frozen=True)
-class SharpGuess:
-    """One candidate triple for the sharp Kronecker values and the Mobius
-    value of the level."""
-
-    nu2_sharp: int
-    nu3_sharp: int
-    mu: int
-
-
 def _omega_bound(n: int) -> int:
     """The largest r whose primorial (the product of the first r primes)
     is at most n: a bound on the number of distinct primes dividing n.
@@ -341,6 +333,23 @@ def _omega_bound(n: int) -> int:
     return r
 
 
+def _nonzero_sharp(E: int, p: int, kron, top: int) -> dict[int, int]:
+    """{w: v}: the value v of nu2# (p = 2, kron = (-4|.)) or nu3# (p = 3,
+    kron = (-3|.)) at the squarefree E, for each omega(E) = w <= top at
+    which that value can be nonzero.
+
+    The local factor at a prime q | E is kron(q) - 1: -1 at q = p, and 0
+    or -2 elsewhere.  So a nonzero value is (-1)^c (-2)^r with c = [p | E]
+    and every one of the r primes of rest = E / p^c having kron = -1,
+    which makes kron(rest) = (-1)^r: the residue of E mod 4 (or 3) fixes
+    the parity of r, and r = 0 exactly when rest = 1.
+    """
+    c = int(E % p == 0)
+    rest = E // p if c else E
+    rs = [0] if rest == 1 else range(1 if kron(rest) == -1 else 2, top - c + 1, 2)
+    return {c + r: (-1) ** c * (-2) ** r for r in rs}
+
+
 def _sharp_guesses(split: SquarefullSplit):
     """The triples (nu2#(N), nu3#(N), mu(N)) possible for N = E * L.
 
@@ -350,32 +359,37 @@ def _sharp_guesses(split: SquarefullSplit):
     * nu2#(L) and nu3#(L) are the products of the sharp values at the
       prime powers of L, which the two-value reduction found.  When one
       of them is 0, its coordinate takes the single value 0.
-    * At each prime p of E the local factors are (-4|p) - 1 and
-      (-3|p) - 1, both in {0, -1, -2}.  So nu2#(E) and nu3#(E) each lie
-      in {0} u {s * 2^a : 0 <= a <= omega(E)}, with the same sign
-      s = (-1)^omega(E) for both.
-    * mu(N) = s when L = 1, and 0 otherwise.
-    * omega(E) is at most :func:`_omega_bound` of E, omega_max.
+    * nu2#(E) and nu3#(E) are 0 or the values :func:`_nonzero_sharp`
+      reads from E mod 4 and E mod 3 for each omega(E) up to
+      :func:`_omega_bound` of E, omega_max.  When both are nonzero they
+      share one omega(E).
+    * mu(N) = (-1)^omega(E) when L = 1, and 0 otherwise; so a nonzero
+      value of E fixes mu, and with both values of E zero mu takes
+      either sign.
 
     (The local factors are those of G. Martin, J. Number Theory 112
-    (2005).)  The sign s = +1 comes first, then s = -1; within a sign the
-    pairs go in increasing order of the sum of their exponent indices
-    (0 first, then 2^0, 2^1, ...).  That is at most 2 (omega_max + 2)^2
-    triples: 392 for E < 2^48, where omega_max = 12.  Under truthful
-    inputs the true triple is among them; a triple may repeat only as
-    (0, 0, 0), when L > 1.
+    (2005).)  The triples with both values of E zero come first (mu = +1
+    before -1), then those with only nu2#(E) nonzero, only nu3#(E)
+    nonzero and both nonzero, each by increasing omega(E).  Each of the
+    last three groups has at most max(1, ceil(omega_max / 2)) triples, so
+    there are at most 2 + 3 max(1, ceil(omega_max / 2)): 20 for E < 2^48,
+    where omega_max = 12.  Under truthful inputs the true triple is among
+    them, and no triple repeats.
     """
     _, _, y_l, z_l, _ = local_product(sharp_local, split.L)
     top = _omega_bound(split.E)
-    l_is_one = split.L.value() == 1
-    for s in (1, -1):
-        mu = s if l_is_one else 0
-        sharp_e = [0] + [s << a for a in range(top + 1)]
-        ys = [y_l * v for v in sharp_e] if y_l else [0]
-        zs = [z_l * v for v in sharp_e] if z_l else [0]
-        for total in range(len(ys) + len(zs) - 1):
-            for i in range(max(0, total - len(zs) + 1), min(total, len(ys) - 1) + 1):
-                yield SharpGuess(nu2_sharp=ys[i], nu3_sharp=zs[total - i], mu=mu)
+    mu_l = int(split.L.value() == 1)  # mu(N) = mu_l * (-1)^omega(E)
+    ys = _nonzero_sharp(split.E, 2, kronecker_m4, top) if y_l else {}
+    zs = _nonzero_sharp(split.E, 3, kronecker_m3, top) if z_l else {}
+    for mu in (1, -1) if mu_l else (0,):
+        yield 0, 0, mu
+    for w, y in ys.items():
+        yield y_l * y, 0, mu_l * (-1) ** w
+    for w, z in zs.items():
+        yield 0, z_l * z, mu_l * (-1) ** w
+    for w, y in ys.items():
+        if w in zs:
+            yield y_l * y, z_l * zs[w], mu_l * (-1) ** w
 
 
 def full_factor_three_values(
@@ -385,7 +399,8 @@ def full_factor_three_values(
 
     The squarefull part L comes from the two-value reduction.  For the
     squarefree part E, each sharp Kronecker/Mobius triple possible for
-    the split N = E * L (:func:`_sharp_guesses`) turns the newform
+    the split N = E * L and for E mod 4 and E mod 3
+    (:func:`_sharp_guesses`, at most 20 when E < 2^48) turns the newform
     dimension into a candidate totient of E (the sharp infinity value
     vanishes as soon as E > 1).  A candidate m is handed to the
     totient-multiple factorizer (Miller's split of E from a multiple of
@@ -406,11 +421,11 @@ def full_factor_three_values(
     l_sharp = local_product(sharp_local, split.L)[0]  # L * s0#(L)
     e_odd = split.E >> ((split.E & -split.E).bit_length() - 1)  # E without its factors of 2
     tried: set[int] = set()
-    for guess in _sharp_guesses(split):
+    for nu2, nu3, mu in _sharp_guesses(split):
         # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
         # nu_inf# term vanishes since E > 1
-        rest = twelve_combination(k, 0, 0, guess.nu2_sharp, guess.nu3_sharp)
-        n_sharp, r = divmod(12 * b_value - rest - (12 * guess.mu if k == 2 else 0), k - 1)
+        rest = twelve_combination(k, 0, 0, nu2, nu3)
+        n_sharp, r = divmod(12 * b_value - rest - (12 * mu if k == 2 else 0), k - 1)
         if r or n_sharp <= 0:
             continue
         cand, r = divmod(n_sharp, l_sharp)  # candidate phi(E)

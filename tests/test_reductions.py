@@ -1,17 +1,18 @@
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from dimfactor import kernels, reductions
+from dimfactor import arith, kernels, reductions
 from dimfactor.arith import Factorization, euler_phi, factor_trial, is_probable_prime
 from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import FactoringFailureError, InconsistentInputsError
-from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
+from dimfactor.multfuncs import local_product, nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
 from dimfactor.reductions import (
-    SharpGuess,
     SquarefullSplit,
     _exact_power_base,
     _sharp_guesses,
@@ -300,7 +301,7 @@ def _reference_sharp_guesses(N, squarefull_part):
     for mu in mus:
         for y in vals:
             for z in vals:
-                yield SharpGuess(nu2_sharp=y, nu3_sharp=z, mu=mu)
+                yield y, z, mu
 
 
 @lru_cache(maxsize=None)
@@ -324,11 +325,7 @@ def _split_and_truth(f):
     e = math.prod(p for p, k in f if k == 1)
     split = SquarefullSplit(E=e, L=Factorization(tuple((p, k) for p, k in f if k >= 2)))
     local = [sharp_local(p, k) for p, k in f]
-    truth = SharpGuess(
-        nu2_sharp=math.prod(v[2] for v in local),
-        nu3_sharp=math.prod(v[3] for v in local),
-        mu=math.prod(v[4] for v in local),
-    )
+    truth = tuple(math.prod(v[i] for v in local) for i in (2, 3, 4))
     return split, truth
 
 
@@ -366,18 +363,121 @@ def _planted_levels(count, seed):
     return out
 
 
+def _omega_of_nonzero(v, E, p, modulus):
+    """omega(E) if v can be the nonzero value of nu2# (p = 2, modulus 4)
+    or nu3# (p = 3, modulus 3) at the squarefree E, else None.  A nonzero
+    value is (-1)^c (-2)^r, with c = [p | E] and r primes q != p, each
+    with the local factor -2, so q = -1 mod modulus: then E / p^c = (-1)^r
+    mod modulus, and r = 0 exactly when E / p^c = 1."""
+    c = int(E % p == 0)
+    rest = E // p**c
+    r = abs(v).bit_length() - 1
+    if abs(v) != 1 << r or v != (-1) ** (c + r) << r:
+        return None
+    if rest % modulus != (-1) ** r % modulus or (r == 0) != (rest == 1):
+        return None
+    return c + r
+
+
+def _obeys_residues(guess, split, top):
+    """The guess is consistent with E mod 4, E mod 3, the sharp values
+    of L and omega(E) <= top."""
+    nu2, nu3, mu = guess
+    _, _, y_l, z_l, mu_l = local_product(sharp_local, split.L)
+    omegas = set()
+    for v, l_value, p, modulus in ((nu2, y_l, 2, 4), (nu3, z_l, 3, 3)):
+        if v != 0:
+            if l_value == 0:
+                return False
+            w = _omega_of_nonzero(v // l_value, split.E, p, modulus)
+            if w is None or w > top:
+                return False
+            omegas.add(w)
+    if len(omegas) > 1:  # both nonzero: one omega(E)
+        return False
+    if mu_l == 0:
+        return mu == 0
+    return mu in (1, -1) and all(mu == (-1) ** w for w in omegas)
+
+
 def test_sharp_guesses_hold_the_true_triple():
     # the pruned guesses always hold the true triple, stay inside the old
-    # exhaustive walk, and number at most 2 (omega_max + 2)^2
+    # exhaustive walk, obey E's residues mod 4 and mod 3, never repeat,
+    # and number at most 2 + 3 max(1, ceil(omega_max / 2))
     levels = [factor_trial(n) for n in range(1, 30_001)] + _planted_levels(300, 1234)
     for f in levels:
         split, truth = _split_and_truth(f)
         n = f.value()
         guesses = list(_sharp_guesses(split))
         distinct = set(guesses)
+        top = _omega_max(split.E)
         assert truth in distinct, n
         assert distinct <= _reference_walk(n.bit_length(), split.L.value() > 1), n
-        assert len(guesses) <= 2 * (_omega_max(split.E) + 2) ** 2, n
+        assert all(_obeys_residues(g, split, top) for g in guesses), n
+        assert len(guesses) == len(distinct) <= 2 + 3 * max(1, -(-top // 2)), n
+
+
+def _mixed_levels(count, seed):
+    """Factorizations of levels below 2^48, alternately uniform and with a
+    planted squarefull part (one or two primes below 2^12, exponents 2 to
+    5, at most 2^40) times a squarefree cofactor coprime to it."""
+    r = random.Random(seed)
+    small = [p for p in range(2, 1 << 12) if is_probable_prime(p)]
+    out = []
+    while len(out) < count:
+        if len(out) % 2 == 0:
+            out.append(factor_trial(r.randrange(2, 1 << 48)))
+            continue
+        part = {p: r.randint(2, 5) for p in r.sample(small, r.randint(1, 2))}
+        value = math.prod(p**k for p, k in part.items())
+        if value > 1 << 40:
+            continue
+        cofactor = factor_trial(r.randrange(1, (1 << 48) // value))
+        if all(k == 1 and p not in part for p, k in cofactor):
+            out.append(Factorization(tuple(sorted({**part, **dict(cofactor)}.items()))))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mixed_cases():
+    """(factorization, A(2), A(4), B(2)) for 1,536 seeded levels."""
+    return tuple((f, dim_A(2, f), dim_A(4, f), dim_B(2, f)) for f in _mixed_levels(1_536, 2024))
+
+
+def test_three_value_reduction_on_seeded_levels_below_2_48():
+    # truthful values give factor_trial's factorization at every level;
+    # the 1,536 reductions take about 0.3 s, so 1.5 s of CPU is a loose
+    # budget that still catches a return to a walk of hundreds of guesses
+    cases = _mixed_cases()
+    spent = 0.0
+    for i, (f, a1, a2, b) in enumerate(cases):
+        n = f.value()
+        t = time.process_time()
+        got = full_factor_three_values(n, 2, a1, 4, a2, 2, b, random.Random(i))
+        spent += time.process_time() - t
+        assert got.factors == f.factors, n
+    assert spent < 1.5, spent
+
+
+def test_each_prime_is_tested_once_per_reduction(monkeypatch):
+    # one truthful reduction runs one round of Miller-Rabin bases on each
+    # number it tests: the certified primes are not tested again when the
+    # factorizations of E, of L and of N are built from them
+    rounds = Counter()
+    witness = arith._mr_composite_witness
+
+    def counting(n, a):
+        rounds[n] += a == 2  # every round below psi_13 starts at base 2
+        return witness(n, a)
+
+    monkeypatch.setattr(arith, "_mr_composite_witness", counting)
+    for i, (f, a1, a2, b) in enumerate(_mixed_cases()[:200]):
+        n = f.value()
+        is_probable_prime.cache_clear()  # building f and its values warmed it
+        rounds.clear()
+        full_factor_three_values(n, 2, a1, 4, a2, 2, b, random.Random(i))
+        assert all(p in rounds for p, _ in f if p > 41), n
+        assert max(rounds.values(), default=0) <= 1, (n, rounds)
 
 
 @pytest.mark.parametrize("kb", [2, 4])
@@ -423,9 +523,9 @@ def test_three_value_reduction_every_small_level(kb):
 def test_lying_newform_values_never_give_a_wrong_answer():
     # an off B value either raises or still yields the one factorization
     # that recomposes to N with certified primes
-    for i, f in enumerate(_planted_levels(200, 99)):
+    planted = [(f, dim_A(2, f), dim_A(4, f), dim_B(2, f)) for f in _planted_levels(200, 99)]
+    for i, (f, a1, a2, b) in enumerate(planted + list(_mixed_cases())):
         n = f.value()
-        a1, a2, b = dim_A(2, f), dim_A(4, f), dim_B(2, f)
         for off in (-12, -1, 1, 12):
             try:
                 got = full_factor_three_values(n, 2, a1, 4, a2, 2, b + off, random.Random(i))
