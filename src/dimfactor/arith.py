@@ -45,11 +45,13 @@ def kronecker_m3(n: int) -> int:
     return _KRON_M3[n % 3]
 
 
+@lru_cache(maxsize=128, typed=True)
 def twelve_weight_coefficients(k: int) -> tuple[int, int]:
     """(12 * c2(k), 12 * c3(k)) for a positive even weight k: 12 * c2 is
     +3 or -3 as 4 divides k or not, 12 * c3 is 4, 0 or -4 as k is 0, 1 or
     2 mod 3.  The one definition of the weight coefficients of the closed
-    dimension formulas; it raises InvalidWeightError for any other k."""
+    dimension formulas; it raises InvalidWeightError for any other k.
+    The last 128 answers are memoized; a raised call is not cached."""
     if k < 2 or k % 2 != 0:
         raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
     return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]

@@ -18,6 +18,7 @@ from .arith import twelve_weight_coefficients
 from .errors import DomainError, InternalInconsistencyError
 
 EULER_GAMMA = 0.5772156649015329
+_EXP_GAMMA = math.exp(EULER_GAMMA)
 
 INTERVAL = "INTERVAL"
 NO_LARGE_SQUARE_DIVISOR = "NO_LARGE_SQUARE_DIVISOR"
@@ -48,23 +49,25 @@ def curly_L(N: int) -> float:
     e^gamma * loglog(sqrt(N)) + 2.50637 / loglog(sqrt(N)).
 
     Raises DomainError when loglog(sqrt(N)) <= 0 (i.e. N <= e^2), where
-    the expression is meaningless."""
+    the expression is meaningless.  e^gamma is the module constant
+    ``_EXP_GAMMA``, formed once at import from :data:`EULER_GAMMA`."""
     if N < 1:
         raise ValueError(f"level must be positive, got {N}")
     half_log = 0.5 * math.log(N)
     if half_log <= 1.0:
         raise DomainError(f"loglog(sqrt({N})) <= 0; comparison factor undefined")
     ll = math.log(half_log)
-    return math.exp(EULER_GAMMA) * ll + 2.50637 / ll
+    return _EXP_GAMMA * ll + 2.50637 / ll
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundsReport:
     """Square-divisor localization data for one (k, N, A-value) triple.
 
     With certificate INTERVAL, every integer d >= 27 with d^2 | N lies
     strictly between x1 and x0.  With NO_LARGE_SQUARE_DIVISOR no such d
-    can exist (the cubic has no positive values at all)."""
+    can exist (the cubic has no positive values at all).  A plain
+    record: its fields can be reassigned, and it is not hashable."""
 
     k: int
     n: int

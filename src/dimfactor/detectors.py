@@ -45,8 +45,10 @@ _SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: F
 _PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(primes_below(92), True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Verdict:
+    """A detector's answer; a plain record, so it is not hashable."""
+
     relation: str  # EQUAL, G_GREATER / G_LESS, or H_GREATER / H_LESS
     conclusion: str  # SQUAREFREE / NOT_SQUAREFREE, PRIME / COMPOSITE, or EXCEPTION
     exception_tag: str | None = None

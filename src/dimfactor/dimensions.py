@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import Factorization, factor_trial, kronecker_m3, kronecker_m4
 from .errors import InternalInconsistencyError
@@ -26,21 +27,29 @@ from .multfuncs import local_product, sharp_local, star_local, twelve_combinatio
 _LEVEL_ONE = Factorization(())
 
 
-def _count(twelve: int, what: str) -> int:
-    """twelve / 12, which must be a nonnegative integer."""
+def _count(twelve: int, what: str, k: int, f: Factorization) -> int:
+    """twelve / 12, which must be a nonnegative integer.
+
+    Otherwise it raises InternalInconsistencyError naming the count as
+    ``what(k,N)``; the level N = f.value() is multiplied out only then,
+    so a call that succeeds never builds the message.
+    """
     q, r = divmod(twelve, 12)
     if r or q < 0:
         raise InternalInconsistencyError(
-            f"{what} = {Fraction(twelve, 12)} is not a nonnegative integer"
+            f"{what}({k},{f.value()}) = {Fraction(twelve, 12)} is not a nonnegative integer"
         )
     return q
 
 
+@lru_cache(maxsize=128, typed=True)
 def level_one_newform_dim(k: int) -> int:
     """B(k, 1) = (k-7)/12 + c2 + c3 + delta2: :func:`dim_B` at level one.
 
     This is the dimension of the full cusp space at level one; it is a
-    nonnegative integer for every positive even weight.
+    nonnegative integer for every positive even weight.  It depends only
+    on k, so the last 128 answers are memoized; a bad weight raises on
+    every call, since a raised call is not cached.
     """
     return dim_B(k, _LEVEL_ONE)
 
@@ -81,7 +90,7 @@ def dim_A(k: int, f: Factorization) -> int:
         return level_one_newform_dim(k)
     x, w, y, z, _ = local_product(star_local, f)
     twelve = twelve_combination(k, x, w, y, z)
-    return _count(twelve, f"representation count A({k},{f.value()})")
+    return _count(twelve, "representation count A", k, f)
 
 
 def dim_delta(k: int, f: Factorization) -> Fraction:
@@ -105,7 +114,7 @@ def dim_B(k: int, f: Factorization) -> int:
     twelve = twelve_combination(k, x, w, y, z)
     if k == 2:
         twelve += 12 * mu
-    return _count(twelve, f"newform dimension B({k},{f.value()})")
+    return _count(twelve, "newform dimension B", k, f)
 
 
 # --- the oracle boundary ------------------------------------------------

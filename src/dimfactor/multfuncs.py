@@ -69,6 +69,8 @@ def sharp_local(p: int, e: int) -> tuple[int, int, int, int, int]:
     """
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
+    if e == 1:  # star_local(p, 1) - star_local(p, 0), written out
+        return p - 1, 0, kronecker_m4(p) - 1, kronecker_m3(p) - 1, -1
     hi, lo = star_local(p, e), star_local(p, e - 1)
     return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3], hi[4]
 

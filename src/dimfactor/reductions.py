@@ -90,12 +90,21 @@ def _exact_power_base(n: int) -> tuple[int, int] | None:
     """(r, j) with r**j == n and j >= 2 minimal, or None.
 
     The minimal exponent is prime (r**(i*j) is also (r**i)**j), so only
-    prime j are tried, math.isqrt at j = 2 and the Newton root at odd j,
-    until the root drops below 2.  With b = n.bit_length(), a root r >= 2
-    has 2^j <= n < 2^b, so the primes up to b hold every such j.
+    prime j are tried, until the root drops below 2.  With
+    b = n.bit_length(), a root r >= 2 has 2^j <= n < 2^b, so the primes up
+    to b hold every such j.  The root is math.isqrt at j = 2; at odd j it
+    is the float root, rounded, below 2^53, where n is an exact float and
+    n ** (1/j) lies within 1e-9 of any integer j-th root of n, and the
+    Newton root from 2^53 on.  Either way ``r**j == n`` decides exactly.
     """
+    small = n < 1 << 53
     for j in primes_below(n.bit_length() + 1):
-        r = math.isqrt(n) if j == 2 else _iroot(n, j)
+        if j == 2:
+            r = math.isqrt(n)
+        elif small:
+            r = round(n ** (1.0 / j))
+        else:
+            r = _iroot(n, j)
         if r < 2:
             return None
         if r**j == n:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from dimfactor import kernels
 from dimfactor.arith import factor_trial
+from dimfactor.bounds import square_divisor_bounds
 from dimfactor.detectors import (
     COMPOSITE,
     EQUAL,
@@ -40,6 +43,26 @@ def test_squarefree_examples():
     assert v.exception_tag
     v = squarefree_test(9, 2, 0)
     assert (v.relation, v.conclusion) == (EQUAL, EXCEPTION)
+
+
+def test_verdicts_are_plain_records():
+    v = squarefree_test(12, 2, _a(2, 12))
+    assert [f.name for f in dataclasses.fields(v)] == [
+        "relation", "conclusion", "exception_tag", "suspicious"
+    ]
+    assert v == squarefree_test(12, 2, _a(2, 12))
+    assert repr(v) == (
+        "Verdict(relation='G_GREATER', conclusion='NOT_SQUAREFREE', "
+        "exception_tag=None, suspicious=None)"
+    )
+    rep = square_divisor_bounds(2, 12493, _a(2, 12493))
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "k", "n", "T0", "T", "curly_L", "certificate", "theta", "x1", "x0"
+    ]
+    assert rep == square_divisor_bounds(2, 12493, _a(2, 12493))
+    for record in (v, rep):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_squarefree_small_levels_all_weights():

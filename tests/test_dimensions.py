@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimfactor import dimensions
 from dimfactor.arith import (
     Factorization,
     euler_phi,
@@ -12,6 +13,7 @@ from dimfactor.arith import (
     is_probable_prime,
     kronecker_m3,
     kronecker_m4,
+    twelve_weight_coefficients,
 )
 from dimfactor.dimensions import (
     DefaultOracle,
@@ -25,7 +27,8 @@ from dimfactor.dimensions import (
     level_one_newform_dim,
 )
 from dimfactor.bounds import compute_T
-from dimfactor.errors import InvalidWeightError
+from dimfactor.detectors import primality_test
+from dimfactor.errors import InternalInconsistencyError, InvalidWeightError
 from dimfactor.multfuncs import (
     local_product,
     nu2_star,
@@ -290,6 +293,50 @@ def test_odd_weight_rejected():
         for call in calls:
             with pytest.raises(InvalidWeightError):
                 call(k)
+
+
+def test_weight_memos_match_the_uncached_formulas():
+    for k in [*range(2, 401, 2), 10**30 + 2]:
+        c2, c3, d2 = _weight_fractions(k)
+        assert twelve_weight_coefficients(k) == (12 * c2, 12 * c3), k
+        assert level_one_newform_dim(k) == Fraction(k - 7, 12) + c2 + c3 + d2, k
+    for memo in (twelve_weight_coefficients, level_one_newform_dim):
+        assert memo.cache_info().maxsize is not None
+        for k in (0, 1, 3, -2, 5):
+            for _ in range(2):  # a raised call is not cached
+                with pytest.raises(InvalidWeightError):
+                    memo(k)
+        # a weight equal to a memoized int but of another type is not
+        # answered from the memo: it behaves as the uncached function does
+        memo(12)
+        for k in (12.0, Fraction(12)):
+            try:
+                want = memo.__wrapped__(k)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    memo(k)
+            else:
+                assert memo(k) == want and type(memo(k)) is type(want)
+
+
+def test_count_error_text_is_built_only_on_failure(monkeypatch):
+    f = factor_trial(2 * 3 * 3 * 5)
+    calls = []
+    value = Factorization.value
+    monkeypatch.setattr(Factorization, "value", lambda self: calls.append(self) or value(self))
+    level_one_newform_dim.cache_clear()  # so the level-one dim_B runs too
+    for k in (2, 4, 12):
+        dim_A(k, f)
+        dim_B(k, f)
+        primality_test(101, k, dim_B(k, factor_trial(101)))
+    assert calls == []
+    monkeypatch.setattr(dimensions, "twelve_combination", lambda *args: 13)
+    with pytest.raises(InternalInconsistencyError) as err:
+        dim_A(4, f)
+    assert str(err.value) == "representation count A(4,90) = 13/12 is not a nonnegative integer"
+    with pytest.raises(InternalInconsistencyError) as err:
+        dim_B(4, f)
+    assert str(err.value) == "newform dimension B(4,90) = 13/12 is not a nonnegative integer"
 
 
 # --- sharp values ---------------------------------------------------------

@@ -104,6 +104,14 @@ def test_exact_power_base_matches_all_exponent_search():
         base = r.randrange(2, 1 << r.randint(2, 16))
         for n in (base**j - 1, base**j, base**j + 1):
             assert _exact_power_base(n) == _power_base_all_exponents(n), (base, j, n)
+    # the float root serves below 2^53 and the Newton root from there on:
+    # at every odd prime j, the last r^j below 2^53 and the first above
+    for j in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        top = reductions._iroot((1 << 53) - 1, j)
+        assert top**j < 1 << 53 <= (top + 1) ** j
+        for base in (top, top + 1):
+            for n in (base**j - 1, base**j, base**j + 1):
+                assert _exact_power_base(n) == _power_base_all_exponents(n), (base, j, n)
 
 
 def test_phi_factoring_determinism():
