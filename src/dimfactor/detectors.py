@@ -93,16 +93,36 @@ def squarefree_test(N: int, k: int, a_value: int) -> Verdict:
     with the two pairs of SQUAREFREE_EXCEPTIONS tagged.  A comparison
     sign the trichotomy forbids is reported as a suspicious-oracle
     warning, not a hard failure.
+
+    So is a positive gap below the floor k - 15: no truthful value gives
+    0 < 12 (G - A) < k - 15, which only matters from k = 16 on.  Proof:
+    12 (G - A) is the closed form at (N - x, 1 - w, (-4|N) - y,
+    (-3|N) - z), x, w, y, z the starred values of N, so it is
+    (k - 1) (N - x) + 6 (w - 1) + t2 ((-4|N) - y) + t3 ((-3|N) - z),
+    with |t2| = 3, |t3| <= 4 and every Kronecker value and starred
+    y, z in {-1, 0, 1}.  On a squarefree N it is 0.  Otherwise let
+    p^2 | N and m = N / p^2 >= 1.  Then N - x = N (1 - prod (1 - 1/q^2))
+    over the primes q with q^2 | N, which is at least N / p^2 = m;
+    w = prod (q - 1) q^(floor(e/2) - 1) over the same q^e is at least
+    p - 1; the last two terms are at least -6 and -8.  So
+    12 (G - A) >= (k - 1) m + 6 (p - 2) - 14 >= k - 15.
     """
     if N < 2:
         raise ValueError(f"level must be >= 2, got {N}")
     if a_value < 0:
         raise ValueError("oracle values are nonnegative")
-    return _verdict(  # twelve_G checks the weight
-        k, N, twelve_G(k, N) - 12 * a_value,
+    gap12 = twelve_G(k, N) - 12 * a_value  # twelve_G checks the weight
+    verdict = _verdict(
+        k, N, gap12,
         (EQUAL, G_GREATER, G_LESS), (SQUAREFREE, NOT_SQUAREFREE),
         SQUAREFREE_EXCEPTIONS, _SQUAREFREE_SMALL, ("A", "G"),
     )
+    if 0 < gap12 < k - 15 and verdict.suspicious is None:
+        verdict.suspicious = (
+            f"12(G - A)({k},{N}) = {gap12} is below k - 15 = {k - 15}, "
+            "which is impossible for a truthful oracle"
+        )
+    return verdict
 
 
 def primality_test(N: int, k: int, b_value: int) -> Verdict:

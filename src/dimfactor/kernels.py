@@ -9,7 +9,14 @@ One sieve (:func:`_sieve`) multiplies the local factors of
 :mod:`~dimfactor.multfuncs` along each level's prime factors over any
 window lo..hi and yields the result block by block, so a sweep holds one
 block at a time.  Its strides are the multiples of p^min_e for each prime
-p <= sqrt(hi), less p itself:
+p <= sqrt(hi), less p itself.  The same sieve in pure Python
+(:func:`_small_sieve`, through :func:`small_star_block` and
+:func:`small_sharp_block`) returns a window as one block of lists; the
+sweeps use it on windows of at most ``sweeps.SMALL_WINDOW`` = 2^15
+levels, where importing numpy would cost a fresh process more than the
+whole pure-Python sweep (measured crossover: about 2^15 levels in prime
+mode, about 2^16 in squarefree mode).  A caller that has numpy loaded
+already pays the pure-Python cost on those windows too.
 
 * the sharp blocks (:func:`sharp_blocks`, min_e = 1): the four sharp
   functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
@@ -29,8 +36,9 @@ A at the star rows, B at the sharp rows plus 12 * delta2 * mu.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
-Importing it does not load numpy: that happens on the first sieve or
-table call, so the single-level commands never pay for it.
+Importing it does not load numpy: that happens on the first numpy sieve
+or table call, so the single-level commands and the small-window sweeps
+never pay for it.
 """
 
 from __future__ import annotations
@@ -85,6 +93,17 @@ def _star_rest(acc: np.ndarray, m: np.ndarray, levels: np.ndarray) -> np.ndarray
     return m == levels
 
 
+def _prime_powers(hi: int, local):
+    """For each prime p <= sqrt(hi): p, its powers [p^0, p^1, ...] up to
+    hi, and the local factor rows ``local(p, e)`` at each exponent, all 1
+    at e = 0.  Both forms of the sieve read their strides from here."""
+    for p in primes_below(math.isqrt(hi) + 1):
+        pows = [1]
+        while pows[-1] * p <= hi:
+            pows.append(pows[-1] * p)
+        yield p, pows, [(1,) * 5] + [local(p, e) for e in range(1, len(pows))]
+
+
 def _sieve(lo: int, hi: int, local, min_e: int, rest):
     """Yield, for each block of SIEVE_BLOCK levels in lo..hi (level 0
     excluded), (levels, rows, mask): five multiplicative functions with
@@ -102,13 +121,10 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
 
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    factors = []  # ([p^0, p^1, ...], the same as an array, local factor rows by exponent)
-    for p in primes_below(math.isqrt(hi) + 1):
-        pows = [1]
-        while pows[-1] * p <= hi:
-            pows.append(pows[-1] * p)
-        rows = [(1,) * 5] + [local(p, e) for e in range(1, len(pows))]
-        factors.append((pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64)))
+    factors = [  # (powers, the same as an array, local factor rows by exponent)
+        (pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64))
+        for _, pows, rows in _prime_powers(hi, local)
+    ]
     exps = np.empty(SIEVE_BLOCK, dtype=np.int64)
     for a in range(max(lo, 1), hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - a)
@@ -129,6 +145,83 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
             rem[first::step] //= pow_arr[e_at]
             acc[:, first::step] *= rows[e_at].T
         yield levels, acc, rest(acc, rem, levels)
+
+
+# --- the same sieve in pure Python, for small windows --------------------
+
+
+def _small_sieve(lo: int, hi: int, local, min_e: int, rest):
+    """:func:`_sieve` over levels lo..hi (level 0 excluded) in pure Python,
+    as one block of lists: (levels, rows, mask), levels a range.  Same
+    strides, same local factors, same rest step; no numpy."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    a = max(lo, 1)
+    levels = range(a, hi + 1)
+    size = len(levels)
+    rem = list(levels)
+    acc = [[1] * size for _ in range(5)]
+    exps = [0] * size
+    for p, pows, rows in _prime_powers(hi, local):
+        step = pows[min_e]
+        first = max(-a % step, 2 * p - a)
+        if first >= size:
+            continue
+        for e in range(min_e, len(pows)):
+            start = -a % pows[e]
+            if start >= size:
+                break
+            exps[start::pows[e]] = [e] * len(range(start, size, pows[e]))
+        e_at = exps[first::step]
+        rem[first::step] = [r // pows[e] for r, e in zip(rem[first::step], e_at)]
+        for row, col in zip(acc, zip(*rows)):
+            row[first::step] = [v * col[e] for v, e in zip(row[first::step], e_at)]
+    return levels, acc, rest(acc, rem, levels)
+
+
+def _small_sharp_rest(acc, q, levels):
+    """:func:`_sharp_rest` on lists."""
+    big = [r > 1 for r in q]
+    k4, k3 = _KRON12
+    x, w, y, z, mu = acc
+    acc[0] = [v * (r - b) for v, r, b in zip(x, q, big)]
+    acc[1] = [v * (not b) for v, b in zip(w, big)]
+    acc[2] = [v * (k4[r % 12] - b) for v, r, b in zip(y, q, big)]
+    acc[3] = [v * (k3[r % 12] - b) for v, r, b in zip(z, q, big)]
+    acc[4] = [v * (1 - 2 * b) for v, b in zip(mu, big)]
+    return [b and r == n for b, r, n in zip(big, q, levels)]
+
+
+def _small_star_rest(acc, m, levels):
+    """:func:`_star_rest` on lists."""
+    k4, k3 = _KRON12
+    acc[0] = [v * r for v, r in zip(acc[0], m)]
+    acc[2] = [v * k4[r % 12] for v, r in zip(acc[2], m)]
+    acc[3] = [v * k3[r % 12] for v, r in zip(acc[3], m)]
+    return [r == n for r, n in zip(m, levels)]
+
+
+def small_sharp_block(lo: int, hi: int):
+    """:func:`sharp_blocks` over lo..hi as one block of lists, sieved in
+    pure Python."""
+    return _small_sieve(lo, hi, sharp_local, 1, _small_sharp_rest)
+
+
+def small_star_block(lo: int, hi: int):
+    """:func:`star_blocks` over lo..hi as one block of lists, sieved in
+    pure Python."""
+    return _small_sieve(lo, hi, star_local, 2, _small_star_rest)
+
+
+def small_minus_G_rows(levels, rows) -> tuple[list, ...]:
+    """:func:`minus_G_rows` on lists."""
+    k4, k3 = _KRON12
+    return (
+        [n - v for n, v in zip(levels, rows[0])],
+        [1 - v for v in rows[1]],
+        [k4[n % 12] - v for n, v in zip(levels, rows[2])],
+        [k3[n % 12] - v for n, v in zip(levels, rows[3])],
+    )
 
 
 def sharp_blocks(lo: int, hi: int):

@@ -293,6 +293,12 @@ def factor_squarefull_two_values(
     them off, solves the remaining 2x2 linear system for the two starred
     invariants exactly, and hands those to
     :func:`factor_squarefull_from_invariants`.
+
+    E is squarefree only when both values are truthful: values that
+    another factorization of N's shape would give (150 with the values
+    of a squarefree 150, E = 150 and L = 1, where the truth is E = 6 and
+    L = 5^2) pass every check here, since nothing in them differs.
+    :func:`full_factor_three_values` certifies E by factoring it.
     """
     if k1 == k2:
         raise ValueError("the two weights must be distinct")

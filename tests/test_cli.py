@@ -13,7 +13,7 @@ import dimfactor
 from dimfactor import arith, dimensions
 from dimfactor.bounds import cubic_margin
 from dimfactor.cli import build_parser, main
-from dimfactor.sweeps import MAX_SWEEP_HI
+from dimfactor.sweeps import MAX_SWEEP_HI, SMALL_WINDOW
 
 
 def run_cli(capsys, *argv):
@@ -71,8 +71,13 @@ def test_test_command(capsys):
         (["test", "prime", "2", "97", "100000"], "COMPOSITE", 1),
         (["test", "squarefree", "2", "12", "3"], "NOT_SQUAREFREE", 1),
         (["test", "prime", "2", "97", "7"], "PRIME", 0),
+        # 1000003 is prime and A(28, 1000003) = 2250006: one less gives the
+        # 12-scaled gap 12, below the floor k - 15 = 13; two less clears it
+        (["test", "squarefree", "28", "1000003", "2250005"], "NOT_SQUAREFREE", 1),
+        (["test", "squarefree", "28", "1000003", "2250004"], "NOT_SQUAREFREE", 0),
     ],
-    ids=["prime-impossible", "squarefree-impossible", "prime-truthful"],
+    ids=["prime-impossible", "squarefree-impossible", "prime-truthful",
+         "squarefree-below-floor", "squarefree-above-floor"],
 )
 def test_suspicious_verdicts_exit_failure(capsys, argv, conclusion, code, json_flag):
     # an oracle value no truthful oracle gives keeps its verdict on stdout,
@@ -165,6 +170,13 @@ def test_factor_squarefull(capsys):
     code, out, _ = run_cli(capsys, "factor", "squarefull", "8640", "--seed", "7", "--json")
     payload = json.loads(out)
     assert payload["E"] == 5 and payload["L"] == [[2, 6], [3, 3]]
+    # G(2, 150) and G(4, 150), the values a squarefree 150 would have: the
+    # split cannot tell them from the truth (E = 6, L = 5^2) and prints
+    # E = 150; `factor full` factors E and refuses them
+    code, out, _ = run_cli(capsys, "factor", "squarefull", "150", "--a1", "12", "--a2", "37")
+    assert code == 0 and out.strip() == "E=150 L=1"
+    code, _, err = run_cli(capsys, "factor", "full", "150", "--a1", "12", "--a2", "37")
+    assert code == 1 and err.startswith("error:")
 
 
 def test_factor_full(capsys):
@@ -303,10 +315,14 @@ _CLI_THEN_NUMPY = (
         (["bounds", "2", "12493", str(dimensions.dim_A(2, arith.factor_trial(12493)))], False),
         (["factor", "full", "12493"], False),
         (["factor", "squarefull", "8640"], False),
-        (["sweep", "2..1000", "--k", "2"], True),
+        (["sweep", "2..1000", "--k", "2"], False),
+        (["sweep", f"2..{SMALL_WINDOW + 1}", "--k", "2", "--mode", "prime"], False),
+        (["sweep", f"2..{SMALL_WINDOW + 2}", "--k", "2"], True),
     ],
 )
 def test_numpy_loads_only_when_a_sweep_runs(argv, numpy_loaded):
+    # a sweep sieves a window of at most SMALL_WINDOW levels in pure Python,
+    # and a wider one in numpy
     out = _child("-c", _CLI_THEN_NUMPY, *argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == str(numpy_loaded)

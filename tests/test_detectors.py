@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dimfactor import kernels
@@ -83,6 +84,37 @@ def test_squarefree_suspicious_oracle():
     assert v.relation == G_LESS and v.suspicious
     clean = squarefree_test(100, 2, _a(2, 100))
     assert clean.suspicious is None
+
+
+def test_squarefree_floor_flags_impossible_positive_gaps():
+    # 1000003 is prime, so A(k, N) = G(k, N); one less is a 12-scaled gap
+    # of 12, which the floor k - 15 makes impossible from k = 28 on
+    n = 1_000_003
+    for k in (28, 100):
+        truth = _a(k, n)
+        for lie in range(1, 8):
+            v = squarefree_test(n, k, truth - lie)
+            assert (v.relation, v.conclusion) == (G_GREATER, NOT_SQUAREFREE)
+            assert (v.suspicious is not None) == (12 * lie < k - 15), (k, lie)
+        assert squarefree_test(n, k, truth).suspicious is None
+    assert squarefree_test(n, 16, _a(16, n) - 1).suspicious is None  # floor 1
+
+
+@pytest.mark.parametrize("k,least", [(16, 18), (28, 30), (100, 102)])
+def test_no_truthful_squarefree_gap_is_below_the_floor(k, least):
+    # every level of [2, 2 * 10^5]: a truthful 12 (G - A) is 0 or at least
+    # k - 15, and the detector flags none of the levels with the least one
+    hi = 2 * 10**5
+    levels = np.arange(2, hi + 1, dtype=np.int64)
+    tables = kernels.build_star_tables(2, hi)
+    a12 = kernels.twelve_A(k, tables, 2, hi)
+    gap = kernels.twelve_G(k, levels) - a12
+    assert gap.min() == 0 and gap[gap > 0].min() == least >= k - 15
+    for i in np.flatnonzero(gap == least)[:50].tolist():
+        n, a = i + 2, int(a12[i]) // 12
+        assert a == _a(k, n)
+        v = squarefree_test(n, k, a)
+        assert v.conclusion == NOT_SQUAREFREE and v.suspicious is None, n
 
 
 def test_primality_examples():

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,12 @@ from dimfactor import sweeps
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.errors import InvalidWeightError
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
-from dimfactor.sweeps import equality_pairs_at_composites, primality_sweep, trichotomy_sweep
+from dimfactor.sweeps import (
+    MAX_SWEEP_HI,
+    equality_pairs_at_composites,
+    primality_sweep,
+    trichotomy_sweep,
+)
 
 LIMIT = 20_000
 
@@ -142,10 +148,16 @@ def test_window_sweeps_match_whole_range_tables(monkeypatch, np_tables, sweep):
         assert rep.checked == 3 * (hi - lo + 1)
         return vars(rep)
 
+    windows = [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]
+    small_window = sweeps.SMALL_WINDOW
+    monkeypatch.setattr(sweeps, "SMALL_WINDOW", 0)  # every window in numpy
     for block in (64, 1000, 4099, 1 << 16):
         monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
-        for lo, hi in [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]:
+        for lo, hi in windows:
             assert run(lo, hi) == run(lo, hi, np_tables), (block, lo, hi)
+    monkeypatch.setattr(sweeps, "SMALL_WINDOW", small_window)  # these in pure Python
+    for lo, hi in windows:
+        assert run(lo, hi) == run(lo, hi, np_tables), (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -157,17 +169,71 @@ def test_streamed_violations_come_weight_by_weight(monkeypatch, np_tables, sweep
     # at two weights in different blocks of 1000.  The stream lists the
     # violations as the one-block read does, weight by weight in the order
     # given and each in level order, so the CLI's first 50 stay the same.
+    # The window is sieved in pure Python, then in numpy blocks.
     doctored = dict(getattr(sweeps, catalogue))
     del doctored[(2, 9)]
     doctored |= {(2, 17_777): -1, (4, 5_003): -1, (2, 3_001): -1, (4, 2_500): -1}
     monkeypatch.setattr(sweeps, catalogue, doctored)
     monkeypatch.setattr(kernels, "SIEVE_BLOCK", 1000)
-    got, want = sweep(2, LIMIT, (4, 2, 12)), sweep(2, LIMIT, (4, 2, 12), np_tables)
-    assert vars(got) == vars(want)
-    assert [v[:3] for v in got.violations] == [
+    want = sweep(2, LIMIT, (4, 2, 12), np_tables)
+    assert [v[:3] for v in want.violations] == [
         (4, 2_500, -1), (4, 5_003, -1), (2, 9, 1), (2, 3_001, -1), (2, 17_777, -1)
     ]
-    assert (2, 9) not in got.exceptions_observed and (4, 5_003) in got.exceptions_observed
+    assert (2, 9) not in want.exceptions_observed and (4, 5_003) in want.exceptions_observed
+    assert LIMIT - 1 <= sweeps.SMALL_WINDOW
+    assert vars(sweep(2, LIMIT, (4, 2, 12))) == vars(want)
+    monkeypatch.setattr(sweeps, "SMALL_WINDOW", 0)
+    assert vars(sweep(2, LIMIT, (4, 2, 12))) == vars(want)
+
+
+def _small_windows():
+    """Windows a sweep sieves in pure Python: seeded ones of width 1 and
+    SMALL_WINDOW, and windows ending at MAX_SWEEP_HI; with their weights."""
+    rng = random.Random(2026_10_19)
+    width = sweeps.SMALL_WINDOW
+    out = [(lo, lo, (2, 4, 12)) for lo in (rng.randrange(2, 10**6), rng.randrange(10**6, 10**7))]
+    out.append(((lo := rng.randrange(2, MAX_SWEEP_HI - width)), lo + width - 1, (2, 4)))
+    out += [(MAX_SWEEP_HI - w + 1, MAX_SWEEP_HI, (2, 14)) for w in (1, 999, width)]
+    out.append((2, 200, (2, 4, 6, 12, 14, 16)))  # every catalogued pair
+    out.append(((lo := rng.randrange(2, 4 * 10**6)), lo + 4_999, (10**12,)))
+    return out
+
+
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
+def test_small_windows_match_the_numpy_path(monkeypatch, sweep):
+    # the pure-Python sieve and comparison report exactly what the numpy
+    # blocks report, field by field
+    windows = _small_windows()
+    small = [vars(sweep(lo, hi, ks)) for lo, hi, ks in windows]
+    monkeypatch.setattr(sweeps, "SMALL_WINDOW", 0)
+    assert small == [vars(sweep(lo, hi, ks)) for lo, hi, ks in windows]
+    assert any(rep["exceptions_observed"] for rep in small)
+
+
+def test_off_pattern_reads_lists_and_arrays_alike():
+    # every sign at a level where the characterization holds and at one
+    # where it does not: off are -1 anywhere, +1 where it holds, 0 where not
+    g, holds = [-5, 0, 7, -5, 0, 7], [True, True, True, False, False, False]
+    assert sweeps._off_pattern(g, holds) == {0, 2, 3, 4}
+    assert sweeps._off_pattern(np.array(g, dtype=np.int64), np.array(holds)) == {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("small,blocks", [(kernels.small_star_block, kernels.star_blocks),
+                                          (kernels.small_sharp_block, kernels.sharp_blocks)])
+def test_small_blocks_match_the_numpy_blocks(small, blocks):
+    # the pure-Python sieve gives the numpy sieve's levels, rows and mask,
+    # level 0 skipped alike
+    width = sweeps.SMALL_WINDOW
+    for lo, hi in [(0, 5), (1, 1), (2, 2), (0, width - 1), (MAX_SWEEP_HI - 999, MAX_SWEEP_HI)]:
+        levels, rows, mask = small(lo, hi)
+        got = [list(levels), [list(r) for r in rows], list(mask)]
+        want = [[], [[] for _ in range(5)], []]
+        for block in blocks(lo, hi):
+            want[0] += block[0].tolist()
+            for row, part in zip(want[1], block[1].tolist()):
+                row += part
+            want[2] += block[2].tolist()
+        assert got == want, (lo, hi)
 
 
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
