@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InvalidWeightError
@@ -55,6 +54,13 @@ def twelve_weight_coefficients(k: int) -> tuple[int, int]:
     if k < 2 or k % 2 != 0:
         raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
     return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]
+
+
+# Largest level a sweep accepts: the range the kernels' int64 exactness
+# note covers.  A sweep streams its window, so its memory is one block.
+# It lives here rather than in ``sweeps`` so that the CLI states it in
+# its help without loading the sweep layers.
+MAX_SWEEP_HI = 10**7
 
 
 # --- primality ---------------------------------------------------------
@@ -126,21 +132,67 @@ def is_probable_prime(n: int) -> bool:
     return not any(_mr_composite_witness(n, rng.randrange(2, n - 1)) for _ in range(64))
 
 
+# --- records -----------------------------------------------------------
+
+
+class Record:
+    """Base of the package's records.  A subclass names its fields, in
+    order, in ``__slots__``.  Records compare field by field (a record of
+    another class is never equal), print as ``Name(field=value, ...)``,
+    and are not hashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose ``__init__`` sets each field once, through
+    ``object.__setattr__``; after that its fields can be neither assigned
+    nor deleted.  It is hashable, and it pickles by calling its
+    constructor on its fields again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 # --- factorizations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(FrozenRecord):
     """A positive integer as an ordered tuple of (prime, exponent) pairs.
 
     The empty tuple represents 1.  Primes must be strictly increasing and
     pass :func:`is_probable_prime`; exponents are >= 1.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        pairs = tuple((int(p), int(e)) for p, e in self.factors)
+    def __init__(self, factors: tuple[tuple[int, int], ...] = ()):
+        pairs = tuple((int(p), int(e)) for p, e in factors)
         object.__setattr__(self, "factors", pairs)
         last = 1
         for p, e in pairs:

@@ -11,10 +11,9 @@ test at an integer is a Fraction computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import twelve_weight_coefficients
+from .arith import Record, twelve_weight_coefficients
 from .errors import DomainError, InternalInconsistencyError
 
 EULER_GAMMA = 0.5772156649015329
@@ -60,8 +59,7 @@ def curly_L(N: int) -> float:
     return _EXP_GAMMA * ll + 2.50637 / ll
 
 
-@dataclass(slots=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Square-divisor localization data for one (k, N, A-value) triple.
 
     With certificate INTERVAL, every integer d >= 27 with d^2 | N lies
@@ -69,15 +67,12 @@ class BoundsReport:
     can exist (the cubic has no positive values at all).  A plain
     record: its fields can be reassigned, and it is not hashable."""
 
-    k: int
-    n: int
-    T0: int
-    T: int
-    curly_L: float
-    certificate: str
-    theta: float | None = None
-    x1: float | None = None
-    x0: float | None = None
+    __slots__ = ("k", "n", "T0", "T", "curly_L", "certificate", "theta", "x1", "x0")
+
+    def __init__(self, k: int, n: int, T0: int, T: int, curly_L: float, certificate: str,
+                 theta: float | None = None, x1: float | None = None, x0: float | None = None):
+        self.k, self.n, self.T0, self.T, self.curly_L = k, n, T0, T, curly_L
+        self.certificate, self.theta, self.x1, self.x0 = certificate, theta, x1, x0
 
 
 def cubic_margin(k: int, N: int, T: int, L: float, x) -> Fraction:

@@ -21,13 +21,13 @@ import random
 import sys
 from fractions import Fraction
 
-from .arith import factor_trial
-from .bounds import INTERVAL, square_divisor_bounds
-from .detectors import EXCEPTION, primality_test, squarefree_test
+# Every request runs arith, dimensions and errors.  The other layers are
+# reached through their module objects, which the package registers
+# lazily, so a request runs only the ones its subcommand calls.
+from . import bounds, detectors, reductions, sweeps
+from .arith import MAX_SWEEP_HI, factor_trial
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
 from .errors import DimfactorError, DomainError, InvalidWeightError
-from .reductions import factor_squarefull_two_values, full_factor_three_values
-from .sweeps import MAX_SWEEP_HI, check_sweep, primality_sweep, trichotomy_sweep
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -177,12 +177,12 @@ def _cmd_test(args) -> int:
     oracle = DefaultOracle()
     if args.kind == "squarefree":
         value = _oracle_value(args.value, lambda: oracle.query_A(k, n))
-        verdict = squarefree_test(n, k, value)
+        verdict = detectors.squarefree_test(n, k, value)
         lhs, rhs = dim_G(k, n), value
         compared = ("G", "A")
     else:
         value = _oracle_value(args.value, lambda: oracle.query_B(k, n))
-        verdict = primality_test(n, k, value)
+        verdict = detectors.primality_test(n, k, value)
         lhs, rhs = dim_H(k, n), value
         compared = ("H", "B")
     lines = [
@@ -202,20 +202,20 @@ def _cmd_test(args) -> int:
     _emit(args, lines, payload)
     if verdict.suspicious:
         return EXIT_FAILURE
-    return EXIT_EXCEPTION_CASE if verdict.conclusion == EXCEPTION else EXIT_OK
+    return EXIT_EXCEPTION_CASE if verdict.conclusion == detectors.EXCEPTION else EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     k, n = args.k, args.N
     value = _oracle_value(args.value, lambda: DefaultOracle().query_A(k, n))
-    rep = square_divisor_bounds(k, n, value)
+    rep = bounds.square_divisor_bounds(k, n, value)
     payload = {
         "k": k, "N": n,
         "T0": _json_value(rep.T0), "T": _json_value(rep.T),
         "curly_L": rep.curly_L, "certificate": rep.certificate,
         "theta": rep.theta, "x1": rep.x1, "x0": rep.x0,
     }
-    if rep.certificate == INTERVAL:
+    if rep.certificate == bounds.INTERVAL:
         lines = [
             f"T0={rep.T0} T={rep.T} L={rep.curly_L!r} theta={rep.theta!r}",
             f"interval: {rep.x1!r} < d < {rep.x0!r}",
@@ -242,7 +242,7 @@ def _cmd_factor(args) -> int:
     a1 = _oracle_value(args.a1, lambda: oracle.query_A(args.k1, n))
     a2 = _oracle_value(args.a2, lambda: oracle.query_A(args.k2, n))
     if args.mode == "squarefull":
-        split = factor_squarefull_two_values(n, args.k1, a1, args.k2, a2, rng)
+        split = reductions.factor_squarefull_two_values(n, args.k1, a1, args.k2, a2, rng)
         payload = {
             "mode": "squarefull", "N": n, "E": split.E,
             "L": _factors_json(split.L.factors),
@@ -250,7 +250,7 @@ def _cmd_factor(args) -> int:
         _emit(args, [f"E={split.E} L={split.L}"], payload)
         return EXIT_OK
     b = _oracle_value(args.b, lambda: oracle.query_B(args.kb, n))
-    fac = full_factor_three_values(n, args.k1, a1, args.k2, a2, args.kb, b, rng)
+    fac = reductions.full_factor_three_values(n, args.k1, a1, args.k2, a2, args.kb, b, rng)
     payload = {"mode": "full", "N": n, "factors": _factors_json(fac.factors)}
     _emit(args, [str(fac)], payload)
     return EXIT_OK
@@ -259,10 +259,10 @@ def _cmd_factor(args) -> int:
 def _cmd_sweep(args) -> int:
     lo, hi = args.range
     try:
-        check_sweep(lo, hi, args.k)
+        sweeps.check_sweep(lo, hi, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sweep = trichotomy_sweep if args.mode == "squarefree" else primality_sweep
+    sweep = sweeps.trichotomy_sweep if args.mode == "squarefree" else sweeps.primality_sweep
     rep = sweep(lo, hi, args.k)
     lines = [
         f"sweep {args.mode} {lo}..{hi} k={','.join(map(str, args.k))}: "

@@ -12,9 +12,7 @@ which the tags and the range sweeps read as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import primes_below
+from .arith import Record, primes_below
 from .dimensions import level_one_newform_dim, twelve_G
 
 # relation constants
@@ -45,14 +43,17 @@ _SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: F
 _PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(primes_below(92), True)
 
 
-@dataclass(slots=True)
-class Verdict:
+class Verdict(Record):
     """A detector's answer; a plain record, so it is not hashable."""
 
-    relation: str  # EQUAL, G_GREATER / G_LESS, or H_GREATER / H_LESS
-    conclusion: str  # SQUAREFREE / NOT_SQUAREFREE, PRIME / COMPOSITE, or EXCEPTION
-    exception_tag: str | None = None
-    suspicious: str | None = None
+    __slots__ = ("relation", "conclusion", "exception_tag", "suspicious")
+
+    def __init__(self, relation: str, conclusion: str,
+                 exception_tag: str | None = None, suspicious: str | None = None):
+        self.relation = relation  # EQUAL, G_GREATER / G_LESS, or H_GREATER / H_LESS
+        self.conclusion = conclusion  # SQUAREFREE / NOT_SQUAREFREE, PRIME / COMPOSITE, or EXCEPTION
+        self.exception_tag = exception_tag
+        self.suspicious = suspicious
 
 
 def _verdict(k, N, gap12, relations, conclusions, catalogue, small, names) -> Verdict:

@@ -16,11 +16,10 @@ samples or the command line, never by factoring the level themselves.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Factorization, factor_trial, kronecker_m3, kronecker_m4
+from .arith import Factorization, FrozenRecord, factor_trial, kronecker_m3, kronecker_m4
 from .errors import InternalInconsistencyError
 from .multfuncs import local_product, sharp_local, star_local, twelve_combination
 
@@ -120,21 +119,21 @@ def dim_B(k: int, f: Factorization) -> int:
 # --- the oracle boundary ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleSample:
+class OracleSample(FrozenRecord):
     """One tagged dimension value; the only currency the reduction
     algorithms may consume."""
 
-    kind: str  # "A" or "B"
-    k: int
-    n: int
-    value: int
+    __slots__ = ("kind", "k", "n", "value")
 
-    def __post_init__(self):
-        if self.kind not in ("A", "B"):
-            raise ValueError(f"kind must be 'A' or 'B', got {self.kind!r}")
-        if self.value < 0:
+    def __init__(self, kind: str, k: int, n: int, value: int):
+        if kind not in ("A", "B"):
+            raise ValueError(f"kind must be 'A' or 'B', got {kind!r}")
+        if value < 0:
             raise ValueError("dimension values are nonnegative")
+        object.__setattr__(self, "kind", kind)  # "A" or "B"
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
 
 class DefaultOracle:

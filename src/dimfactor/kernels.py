@@ -3,7 +3,7 @@
 Everything here works in 64-bit integers on values scaled by 12, which
 keeps the arithmetic exact for every range a sweep accepts: the largest
 intermediate is about (k - 1) * hi, which the sweeps keep below 2^62
-(levels up to ``sweeps.MAX_SWEEP_HI`` = 10^7).
+(levels up to ``arith.MAX_SWEEP_HI`` = 10^7).
 
 One sieve (:func:`_sieve`) multiplies the local factors of
 :mod:`~dimfactor.multfuncs` along each level's prime factors over any
@@ -44,7 +44,6 @@ never pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -254,20 +253,17 @@ def _fill(lo: int, hi: int, blocks):
     return (*rows, mask)
 
 
-@dataclass(frozen=True)
 class SharpTables:
     """Sharp sieve output over levels lo..hi (index i is level lo + i):
     the integer N*s0#(N), the three other sharp values, the Mobius
     function, and whether each level is prime."""
 
-    lo: int
-    hi: int
-    x: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    mu: np.ndarray
-    prime: np.ndarray
+    ROWS = ("x", "w", "y", "z", "mu", "prime")  # in the order the sieve yields them
+
+    def __init__(self, lo: int, hi: int, x: np.ndarray, w: np.ndarray, y: np.ndarray,
+                 z: np.ndarray, mu: np.ndarray, prime: np.ndarray):
+        self.lo, self.hi = lo, hi
+        self.x, self.w, self.y, self.z, self.mu, self.prime = x, w, y, z, mu, prime
 
 
 def build_sharp_tables(lo: int, hi: int) -> SharpTables:
@@ -276,20 +272,19 @@ def build_sharp_tables(lo: int, hi: int) -> SharpTables:
     return SharpTables(lo, hi, *_fill(lo, hi, sharp_blocks(lo, hi)))
 
 
-@dataclass(frozen=True)
 class StarTables:
     """Star sieve output over levels lo..hi (index i is level lo + i):
     the integer N*s0*(N), the three other starred values, and whether each
     level is squarefree.  ``sharp`` holds the sharp tables over the same
     levels, sieved on first use; the signed Mobius function is there."""
 
-    lo: int
-    hi: int
-    ns0: np.ndarray
-    nu_inf: np.ndarray
-    nu2: np.ndarray
-    nu3: np.ndarray
-    squarefree: np.ndarray
+    ROWS = ("ns0", "nu_inf", "nu2", "nu3", "squarefree")  # in the order the sieve yields them
+
+    def __init__(self, lo: int, hi: int, ns0: np.ndarray, nu_inf: np.ndarray,
+                 nu2: np.ndarray, nu3: np.ndarray, squarefree: np.ndarray):
+        self.lo, self.hi = lo, hi
+        self.ns0, self.nu_inf, self.nu2, self.nu3 = ns0, nu_inf, nu2, nu3
+        self.squarefree = squarefree
 
     @cached_property
     def sharp(self) -> SharpTables:
@@ -350,7 +345,7 @@ def table_block(tables: StarTables | SharpTables, lo: int, hi: int):
 
     check_covers(tables, lo, hi)
     sl = slice(lo - tables.lo, hi - tables.lo + 1)
-    *rows, mask = (getattr(tables, f.name)[sl] for f in fields(tables)[2:])
+    *rows, mask = (getattr(tables, name)[sl] for name in tables.ROWS)
     return np.arange(lo, hi + 1, dtype=np.int64), rows, mask
 
 
@@ -385,17 +380,14 @@ def twelve_B(k: int, sharp: SharpTables, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DimensionTables:
     """12 times the four dimension quantities at one weight, for every
     level up to the limit.  Scaling by 12 keeps everything in int64."""
 
-    k: int
-    limit: int
-    G12: np.ndarray
-    A12: np.ndarray
-    B12: np.ndarray
-    H12: np.ndarray
+    def __init__(self, k: int, limit: int, G12: np.ndarray, A12: np.ndarray,
+                 B12: np.ndarray, H12: np.ndarray):
+        self.k, self.limit = k, limit
+        self.G12, self.A12, self.B12, self.H12 = G12, A12, B12, H12
 
 
 def dimension_tables(k: int, tables: StarTables) -> DimensionTables:

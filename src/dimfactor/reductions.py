@@ -23,10 +23,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, is_probable_prime, kronecker_m3, kronecker_m4, primes_below
+from .arith import (
+    Factorization,
+    FrozenRecord,
+    is_probable_prime,
+    kronecker_m3,
+    kronecker_m4,
+    primes_below,
+)
 from .dimensions import twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
 from .multfuncs import local_product, sharp_local, star_local, twelve_combination
@@ -49,23 +55,23 @@ _SMALL_NU23 = {
 }
 
 
-@dataclass(frozen=True)
-class SquarefullSplit:
+class SquarefullSplit(FrozenRecord):
     """N = E * L with E squarefree, L squarefull and gcd(E, L) = 1.
 
     E's squarefreeness is guaranteed by true invariant inputs; it is not
     independently certified here (that happens when E is factored)."""
 
-    E: int
-    L: Factorization
+    __slots__ = ("E", "L")
 
-    def __post_init__(self):
-        if self.E < 1:
+    def __init__(self, E: int, L: Factorization):
+        if E < 1:
             raise ValueError("squarefree part must be positive")
-        if not self.L.is_squarefull():
+        if not L.is_squarefull():
             raise ValueError("squarefull part has an exponent below 2")
-        if math.gcd(self.E, self.L.value()) != 1:
+        if math.gcd(E, L.value()) != 1:
             raise ValueError("parts are not coprime")
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "L", L)
 
     def n(self) -> int:
         return self.E * self.L.value()

@@ -18,11 +18,10 @@ empty; the catalogued pairs in range are reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 
-from .arith import twelve_weight_coefficients
+from .arith import MAX_SWEEP_HI, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
@@ -41,10 +40,6 @@ from .multfuncs import twelve_combination
 SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
 
-# Largest level a sweep accepts: the range the kernels' int64 exactness
-# note covers.  A sweep streams its window, so its memory is one block.
-MAX_SWEEP_HI = 10**7
-
 # Widest window a sweep sieves in pure Python (kernels.small_star_block and
 # small_sharp_block) when it is given no tables; a wider one is sieved in
 # numpy.  A fresh process pays about 0.1 s to import numpy.  Measured as
@@ -56,16 +51,17 @@ MAX_SWEEP_HI = 10**7
 SMALL_WINDOW = 1 << 15
 
 
-@dataclass
 class SweepReport:
-    mode: str
-    lo: int
-    hi: int
-    ks: tuple[int, ...]
-    checked: int
-    violations: list[tuple[int, int, int, int]] = field(default_factory=list)
-    # catalogued exception pairs seen in range, behaving as catalogued
-    exceptions_observed: list[tuple[int, int]] = field(default_factory=list)
+    """What one sweep checked and found: (k, N, expected sign, sign seen)
+    for each violation, and the catalogued exception pairs seen in range,
+    behaving as catalogued.  ``vars(report)`` holds every field."""
+
+    def __init__(self, mode: str, lo: int, hi: int, ks: tuple[int, ...], checked: int,
+                 violations: list[tuple[int, int, int, int]] | None = None,
+                 exceptions_observed: list[tuple[int, int]] | None = None):
+        self.mode, self.lo, self.hi, self.ks, self.checked = mode, lo, hi, ks, checked
+        self.violations = [] if violations is None else violations
+        self.exceptions_observed = [] if exceptions_observed is None else exceptions_observed
 
     @property
     def ok(self) -> bool:

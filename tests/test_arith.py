@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -200,6 +201,18 @@ def test_factorization_basics():
     assert one.mobius() == 1
     assert Factorization(((2, 1), (3, 1))).mobius() == 1
     assert Factorization(((2, 1), (3, 1), (5, 1))).mobius() == -1
+
+
+def test_factorizations_are_frozen_values():
+    f = Factorization(((2, 2), (3, 1)))
+    assert f == factor_trial(12) and hash(f) == hash(factor_trial(12))
+    assert f != Factorization(((2, 1),)) and f != f.factors
+    assert repr(f) == "Factorization(factors=((2, 2), (3, 1)))"
+    with pytest.raises(AttributeError):
+        f.factors = ()
+    with pytest.raises(AttributeError):
+        del f.factors
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_euler_phi():

@@ -299,9 +299,13 @@ def test_console_entry_point():
     assert out.returncode == 0 and out.stdout.strip() == "1"
 
 
-# runs the CLI on argv, then prints whether numpy was ever imported
+# runs the CLI on argv, then prints whether numpy and dataclasses were ever
+# imported, and the dimfactor submodules that ran: a lazily registered one
+# that never ran is not of type ModuleType, a check that reads no attribute
 _CLI_THEN_NUMPY = (
-    "import sys; from dimfactor.cli import main; main(sys.argv[1:]); print('numpy' in sys.modules)"
+    "import sys, types; from dimfactor.cli import main; main(sys.argv[1:]); "
+    "print('numpy' in sys.modules, 'dataclasses' in sys.modules, *sorted("
+    "n for n, m in sys.modules.items() if n.startswith('dimfactor.') and type(m) is types.ModuleType))"
 )
 
 
@@ -322,16 +326,32 @@ _CLI_THEN_NUMPY = (
 )
 def test_numpy_loads_only_when_a_sweep_runs(argv, numpy_loaded):
     # a sweep sieves a window of at most SMALL_WINDOW levels in pure Python,
-    # and a wider one in numpy
+    # and a wider one in numpy; no request imports dataclasses, and each
+    # runs only the layers its subcommand calls
     out = _child("-c", _CLI_THEN_NUMPY, *argv)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == str(numpy_loaded)
+    numpy_seen, dataclasses_seen, *ran = out.stdout.splitlines()[-1].split()
+    assert numpy_seen == str(numpy_loaded)
+    assert dataclasses_seen == "False"
+    ran = {name.removeprefix("dimfactor.") for name in ran}
+    if argv[0] == "sweep":
+        assert {"detectors", "kernels", "sweeps"} <= ran
+        assert not ran & {"reductions", "bounds"}, ran
+    else:
+        assert not ran & {"kernels", "sweeps"}, ran
+        assert ("reductions" in ran) == (argv[0] == "factor"), ran
 
 
 def test_library_calls_do_not_load_numpy():
     out = _child("-c", "import sys, dimfactor as d; d.dim_A(2, d.factor_trial(11)); "
                  "print('numpy' in sys.modules)")
     assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
+
+
+def test_importing_the_package_runs_no_submodule():
+    out = _child("-c", "import sys, types, dimfactor; print(sorted(n for n, m in sys.modules.items() "
+                 "if n.startswith('dimfactor.') and type(m) is types.ModuleType))")
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
 
 
 def test_cli_import_keeps_the_sweep_modules_loaded():
