@@ -11,12 +11,15 @@ The two-value reduction finds the squarefull part L of N and the split
 N = E * L, dividing the starred values of each peeled prime power out of
 the invariants; the three-value reduction then tries only the sharp
 triples possible for that split and for E's residues mod 4 and mod 3 (at
-most 20 when E < 2^48) and gates each candidate totient of E with one
-Fermat check before the totient-multiple factorizer runs.  Both read
-those values of prime powers they found as
-:func:`~dimfactor.multfuncs.local_product` of the local factors.  Their
-only randomness is the caller's ``random.Random``, and their one work
-bound is :data:`SPLIT_ROUNDS`.
+most 20 when E < 2^48) and gates each candidate totient m of E with
+the base-2 chain of m modulo E's odd part, which accepts exactly when
+2^m = 1 there.  A wrong guess costs that one modular exponentiation; on
+the true guess the chain is the first split round of the totient-multiple
+factorizer.  Both read those values of prime powers they found as
+:func:`~dimfactor.multfuncs.local_product` of the local factors, and both
+hold their rationals as reduced numerator/denominator pairs.  Their only
+randomness is the caller's ``random.Random``, and their one work bound is
+:data:`SPLIT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -96,14 +99,18 @@ def _exact_power_base(n: int) -> tuple[int, int] | None:
     """(r, j) with r**j == n and j >= 2 minimal, or None.
 
     The minimal exponent is prime (r**(i*j) is also (r**i)**j), so only
-    prime j are tried, until the root drops below 2.  With
-    b = n.bit_length(), a root r >= 2 has 2^j <= n < 2^b, so the primes up
-    to b hold every such j.  The root is math.isqrt at j = 2; at odd j it
-    is the float root, rounded, below 2^53, where n is an exact float and
-    n ** (1/j) lies within 1e-9 of any integer j-th root of n, and the
-    Newton root from 2^53 on.  Either way ``r**j == n`` decides exactly.
+    prime j are tried, until the root drops below the least possible
+    base: 2, or 3 when n is odd, since an odd power has an odd root.
+    With b = n.bit_length(), a root r >= 2 has 2^j <= n < 2^b, so the
+    primes up to b hold every such j; an odd n needs only j <= log_3 n,
+    10 prime exponents instead of 15 below 2^48.  The root is math.isqrt
+    at j = 2; at odd j it is the float root, rounded, below 2^53, where n
+    is an exact float and n ** (1/j) lies within 1e-9 of any integer j-th
+    root of n, and the Newton root from 2^53 on.  Either way
+    ``r**j == n`` decides exactly.
     """
     small = n < 1 << 53
+    least = 2 + (n & 1)
     for j in primes_below(n.bit_length() + 1):
         if j == 2:
             r = math.isqrt(n)
@@ -111,10 +118,31 @@ def _exact_power_base(n: int) -> tuple[int, int] | None:
             r = round(n ** (1.0 / j))
         else:
             r = _iroot(n, j)
-        if r < 2:
+        if r < least:
             return None
         if r**j == n:
             return r, j
+    return None
+
+
+def _sqrt1_chain(a: int, m: int, c: int) -> int | None:
+    """a**m mod odd c > 1 along the 2-power chain of m: None when
+    a**m != 1 (mod c), else a factor of c, 1 unless the chain met a
+    nontrivial square root of 1.
+
+    With m = 2^s t, t odd, x = a^t mod c is squared at most s times.
+    When x**2 = 1 with x != +-1, c divides (x - 1)(x + 1) but neither
+    factor, so 1 < gcd(x - 1, c) < c splits c and proves it composite.
+    """
+    s = (m & -m).bit_length() - 1
+    x = pow(a, m >> s, c)
+    if x == 1:
+        return 1
+    for _ in range(s):
+        y = x * x % c
+        if y == 1:
+            return 1 if x == c - 1 else math.gcd(x - 1, c)
+        x = y
     return None
 
 
@@ -126,37 +154,18 @@ def _sqrt1_split(c: int, m: int, rng: random.Random) -> int:
     A base coprime to c with base**m != 1 (mod c) proves that m is not a
     totient multiple, so that situation aborts immediately.
     """
-    t = m
-    s = 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
     for _ in range(SPLIT_ROUNDS):
         a = rng.randrange(2, c - 1)
         g = math.gcd(a, c)
         if 1 < g:
             return g  # free split; g < c since a < c
-        x = pow(a, t, c)
-        if x == 1:
-            continue
-        reached_one = False
-        for _ in range(s):
-            y = x * x % c
-            if y == 1:
-                if x != c - 1:
-                    g = math.gcd(x - 1, c)
-                    if 1 < g < c:
-                        return g
-                    g = math.gcd(x + 1, c)
-                    if 1 < g < c:
-                        return g
-                reached_one = True
-                break
-            x = y
-        if not reached_one and x != 1:
+        g = _sqrt1_chain(a, m, c)
+        if g is None:
             raise FactoringFailureError(
                 f"{m} is not a multiple of phi({c}): witness base {a}"
             )
+        if g > 1:
+            return g
     raise FactoringFailureError(f"failed to split {c} within {SPLIT_ROUNDS} rounds")
 
 
@@ -242,6 +251,14 @@ def recover_nu23_star(N: int, k: int, a_value: int) -> tuple[int, int]:
 # --- squarefull part from invariants -------------------------------------
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator (den != 0)."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def factor_squarefull_from_invariants(
     N: int, s0star: Fraction, nuinfstar: int, rng: random.Random
 ) -> SquarefullSplit:
@@ -260,12 +277,16 @@ def factor_squarefull_from_invariants(
         raise InconsistentInputsError(f"s0* = {s0} outside (0, 1]")
     if nuinfstar < 1:
         raise InconsistentInputsError(f"nu_inf* = {nuinfstar} is not positive")
-    nu = nuinfstar
+    return _peel_squarefull(N, s0.numerator, s0.denominator, nuinfstar, rng)
+
+
+def _peel_squarefull(N: int, num: int, den: int, nu: int, rng: random.Random) -> SquarefullSplit:
+    """The loop of :func:`factor_squarefull_from_invariants`, with
+    s0* = num/den in lowest terms, 0 < num <= den, and nu_inf* = nu >= 1."""
     n_left = N
     pairs: list[tuple[int, int]] = []
-    while s0 != 1:
-        d = s0.denominator  # > 1 since s0 < 1 in lowest terms
-        fac_d = factor_given_phi_multiple(d, d * nu, rng)
+    while den != 1:  # s0* = 1 exactly when its reduced denominator is 1
+        fac_d = factor_given_phi_multiple(den, den * nu, rng)
         n_before, peeled = n_left, []
         for p, _ in fac_d:
             e = 0
@@ -279,8 +300,9 @@ def factor_squarefull_from_invariants(
             peeled.append((p, e))
         pairs += peeled
         peel_x, peel_nu, *_ = local_product(star_local, peeled)
-        s0 /= Fraction(peel_x, n_before // n_left)  # s0* of the peeled part
-        if not 0 < s0 <= 1:
+        # divide by the peeled part's s0*, peel_x / (n_before // n_left)
+        num, den = _reduced(num * (n_before // n_left), den * peel_x)
+        if num > den:
             raise InconsistentInputsError("residual s0* left (0, 1]")
         if nu % peel_nu != 0:
             raise InconsistentInputsError("nu_inf* not divisible by the peeled part")
@@ -324,13 +346,16 @@ def factor_squarefull_two_values(
     # 12 * A(k_i, N) less its Kronecker terms is (k_i - 1) N s0* - 6 nu_inf*
     u1 = 12 * a1 - twelve_combination(k1, 0, 0, nu2, nu3)
     u2 = 12 * a2 - twelve_combination(k2, 0, 0, nu2, nu3)
-    s0 = Fraction(u2 - u1, (k2 - k1) * N)
-    nu_inf = Fraction(u2 * (k1 - 1) - u1 * (k2 - 1), 6 * (k2 - k1))
-    if nu_inf.denominator != 1 or nu_inf <= 0:
-        raise InconsistentInputsError(f"solved nu_inf* = {nu_inf} is not a positive integer")
-    if not 0 < s0 <= 1:
-        raise InconsistentInputsError(f"solved s0* = {s0} outside (0, 1]")
-    return factor_squarefull_from_invariants(N, s0, int(nu_inf), rng)
+    nu_num, nu_den = u2 * (k1 - 1) - u1 * (k2 - 1), 6 * (k2 - k1)
+    nu_inf, r = divmod(nu_num, nu_den)
+    if r or nu_inf <= 0:
+        raise InconsistentInputsError(
+            f"solved nu_inf* = {Fraction(nu_num, nu_den)} is not a positive integer"
+        )
+    num, den = _reduced(u2 - u1, (k2 - k1) * N)
+    if not 0 < num <= den:
+        raise InconsistentInputsError(f"solved s0* = {Fraction(num, den)} outside (0, 1]")
+    return _peel_squarefull(N, num, den, nu_inf, rng)
 
 
 # --- full factorization from three oracle values --------------------------
@@ -371,15 +396,17 @@ def _nonzero_sharp(E: int, p: int, kron, top: int) -> dict[int, int]:
     return {c + r: (-1) ** c * (-2) ** r for r in rs}
 
 
-def _sharp_guesses(split: SquarefullSplit):
-    """The triples (nu2#(N), nu3#(N), mu(N)) possible for N = E * L.
+def _sharp_guesses(split: SquarefullSplit, l_sharp: tuple[int, int, int, int, int]):
+    """The triples (nu2#(N), nu3#(N), mu(N)) possible for N = E * L, given
+    l_sharp = ``local_product(sharp_local, split.L)``.
 
     E is squarefree and coprime to L, so the sharp values multiply:
     nu2#(N) = nu2#(E) * nu2#(L), and the same for nu3#.
 
-    * nu2#(L) and nu3#(L) are the products of the sharp values at the
-      prime powers of L, which the two-value reduction found.  When one
-      of them is 0, its coordinate takes the single value 0.
+    * nu2#(L) and nu3#(L), entries 2 and 3 of l_sharp, are the products
+      of the sharp values at the prime powers of L, which the two-value
+      reduction found.  When one of them is 0, its coordinate takes the
+      single value 0.
     * nu2#(E) and nu3#(E) are 0 or the values :func:`_nonzero_sharp`
       reads from E mod 4 and E mod 3 for each omega(E) up to
       :func:`_omega_bound` of E, omega_max.  When both are nonzero they
@@ -397,9 +424,8 @@ def _sharp_guesses(split: SquarefullSplit):
     where omega_max = 12.  Under truthful inputs the true triple is among
     them, and no triple repeats.
     """
-    _, _, y_l, z_l, _ = local_product(sharp_local, split.L)
+    _, _, y_l, z_l, mu_l = l_sharp  # mu_l = mu(L), so mu(N) = mu_l * (-1)^omega(E)
     top = _omega_bound(split.E)
-    mu_l = int(split.L.value() == 1)  # mu(N) = mu_l * (-1)^omega(E)
     ys = _nonzero_sharp(split.E, 2, kronecker_m4, top) if y_l else {}
     zs = _nonzero_sharp(split.E, 3, kronecker_m3, top) if z_l else {}
     for mu in (1, -1) if mu_l else (0,):
@@ -423,12 +449,17 @@ def full_factor_three_values(
     the split N = E * L and for E mod 4 and E mod 3
     (:func:`_sharp_guesses`, at most 20 when E < 2^48) turns the newform
     dimension into a candidate totient of E (the sharp infinity value
-    vanishes as soon as E > 1).  A candidate m is handed to the
+    vanishes as soon as E > 1).  A candidate m goes on to the
     totient-multiple factorizer (Miller's split of E from a multiple of
     phi(E)) only if 2**m = 1 modulo the odd part of E, which the true
-    phi(E) always satisfies; so a wrong guess costs one modular
-    exponentiation.  A factorization is accepted iff it recomposes to N
-    with all factors prime.  Lying values raise FactoringFailureError or
+    phi(E) always satisfies.  That check is :func:`_sqrt1_chain` at base
+    2, so a wrong guess costs one modular exponentiation, and on a passing
+    guess the chain is the factorizer's first split round: where it meets
+    a nontrivial square root of 1, its gcd splits the odd part, which then
+    needs neither a primality test nor a random base to split.  E's parts
+    are factored into one count of primes with L's, so N's factorization
+    is built once; it recomposes to N with every factor certified prime
+    by construction.  Lying values raise FactoringFailureError or
     InconsistentInputsError, unless a guess still yields the certified
     factorization of N.
     """
@@ -439,17 +470,17 @@ def full_factor_three_values(
     split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng)
     if split.E == 1:
         return split.L
-    l_sharp = local_product(sharp_local, split.L)[0]  # L * s0#(L)
+    l_sharp = local_product(sharp_local, split.L)  # L * s0#(L) first
     e_odd = split.E >> ((split.E & -split.E).bit_length() - 1)  # E without its factors of 2
     tried: set[int] = set()
-    for nu2, nu3, mu in _sharp_guesses(split):
+    for nu2, nu3, mu in _sharp_guesses(split, l_sharp):
         # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
         # nu_inf# term vanishes since E > 1
         rest = twelve_combination(k, 0, 0, nu2, nu3)
         n_sharp, r = divmod(12 * b_value - rest - (12 * mu if k == 2 else 0), k - 1)
         if r or n_sharp <= 0:
             continue
-        cand, r = divmod(n_sharp, l_sharp)  # candidate phi(E)
+        cand, r = divmod(n_sharp, l_sharp[0])  # candidate phi(E)
         if r:
             continue
         if not 1 <= cand < split.E or (split.E > 2 and cand % 2 != 0):
@@ -458,24 +489,18 @@ def full_factor_three_values(
             continue
         tried.add(cand)
         # phi(e_odd) divides the true candidate phi(E), so it passes
-        if e_odd > 1 and pow(2, cand, e_odd) != 1:
+        g = _sqrt1_chain(2, cand, e_odd) if e_odd > 1 else 1
+        if g is None:
             continue
+        # g, e_odd // g and E's power of 2 multiply to E, which is coprime
+        # to L, so no prime repeats; g = 1 leaves the odd part whole
+        counts = dict(split.L.factors)
         try:
-            fac_e = factor_given_phi_multiple(split.E, cand, rng)
+            for part in (g, e_odd // g, split.E // e_odd):
+                _phi_factor_into(part, cand, rng, counts)
         except FactoringFailureError:
             continue
-        merged: dict[int, int] = dict(split.L.factors)
-        ok = True
-        for p, e in fac_e:
-            if p in merged:
-                ok = False  # parts must be coprime; a collision means bad inputs
-                break
-            merged[p] = e
-        if not ok:
-            continue
-        result = Factorization(tuple(sorted(merged.items())))
-        if result.value() == N:
-            return result
+        return Factorization(tuple(sorted(counts.items())))
     raise FactoringFailureError(
         f"no sharp-value guess produced a verified factorization of {N}"
     )

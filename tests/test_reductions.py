@@ -11,7 +11,16 @@ from dimfactor import arith, kernels, reductions
 from dimfactor.arith import Factorization, euler_phi, factor_trial, is_probable_prime
 from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import FactoringFailureError, InconsistentInputsError
-from dimfactor.multfuncs import local_product, nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local
+from dimfactor.multfuncs import (
+    local_product,
+    nu2_star,
+    nu3_star,
+    nu_inf_star,
+    s0_star,
+    sharp_local,
+    star_local,
+    twelve_combination,
+)
 from dimfactor.reductions import (
     SquarefullSplit,
     _exact_power_base,
@@ -112,12 +121,44 @@ def test_exact_power_base_matches_all_exponent_search():
         for base in (top, top + 1):
             for n in (base**j - 1, base**j, base**j + 1):
                 assert _exact_power_base(n) == _power_base_all_exponents(n), (base, j, n)
+    # an odd n stops at roots below 3: powers of 3, odd and even
+    # neighbours of them, and odd and even n on both sides of 2^53
+    for j in range(2, 70):
+        for n in (3**j - 2, 3**j - 1, 3**j, 3**j + 1, 3**j + 2, 2 * 3**j, 5 * 3**j):
+            assert _exact_power_base(n) == _power_base_all_exponents(n), (j, n)
+    for n in range((1 << 53) - 40, (1 << 53) + 40):
+        assert _exact_power_base(n) == _power_base_all_exponents(n), n
+    for j in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        top = reductions._iroot((1 << 53) - 1, j)
+        odd = top | 1  # top or top + 1, whichever is odd
+        for base in (odd - 2, odd, odd + 2):
+            for n in (base**j - 2, base**j, base**j + 2):
+                assert _exact_power_base(n) == _power_base_all_exponents(n), (base, j, n)
 
 
 def test_phi_factoring_determinism():
     got1 = factor_given_phi_multiple(700, 240, random.Random(5))
     got2 = factor_given_phi_multiple(700, 240, random.Random(5))
     assert got1 == got2
+
+
+def test_base2_chain_is_the_fermat_check():
+    # the chain accepts exactly when 2^m = 1 (mod e), for odd and even m,
+    # and any factor it finds is a proper divisor of an e with at least two
+    # primes: modulo a prime power, 1 has no square roots but +-1
+    r = random.Random(23)
+    splits = 0
+    for e in range(3, 20_001, 2):
+        f = factor_trial(e)
+        phi = euler_phi(f)
+        lam = math.lcm(*((p - 1) * p ** (k - 1) for p, k in f))
+        for m in (2 * r.randrange(e) + 1, 2 * r.randrange(1, e), phi, phi * r.randrange(1, 64), phi >> 1, lam):
+            g = reductions._sqrt1_chain(2, m, e)
+            assert (g is not None) == (pow(2, m, e) == 1), (e, m)
+            if g is not None and g > 1:
+                assert 1 < g < e and e % g == 0 and len(f) > 1, (e, m, g)
+                splits += 1
+    assert splits > 20_000  # 24,726 of the 59,994 cases split
 
 
 # --- starred Kronecker recovery --------------------------------------------
@@ -233,6 +274,129 @@ def test_linear_solve_matches_star_functions(rng):
         nu_inf = a2s * 1 - a1s * 3
         assert s0 == Fraction(int(tables.ns0[n]), n), n
         assert nu_inf == tables.nu_inf[n], n
+
+
+# the two-value split as it was computed in Fraction arithmetic, kept as
+# the reference for the integer split
+
+
+def _fraction_from_invariants(N, s0star, nuinfstar, rng):
+    if N < 1:
+        raise ValueError(f"level must be positive, got {N}")
+    s0 = Fraction(s0star)
+    if not 0 < s0 <= 1:
+        raise InconsistentInputsError(f"s0* = {s0} outside (0, 1]")
+    if nuinfstar < 1:
+        raise InconsistentInputsError(f"nu_inf* = {nuinfstar} is not positive")
+    nu = nuinfstar
+    n_left = N
+    pairs = []
+    while s0 != 1:
+        d = s0.denominator
+        fac_d = factor_given_phi_multiple(d, d * nu, rng)
+        n_before, peeled = n_left, []
+        for p, _ in fac_d:
+            e = 0
+            while n_left % p == 0:
+                n_left //= p
+                e += 1
+            if e < 2:
+                raise InconsistentInputsError(
+                    f"prime {p} from the s0* denominator does not divide {N} squarely"
+                )
+            peeled.append((p, e))
+        pairs += peeled
+        peel_x, peel_nu, *_ = local_product(star_local, peeled)
+        s0 /= Fraction(peel_x, n_before // n_left)
+        if not 0 < s0 <= 1:
+            raise InconsistentInputsError("residual s0* left (0, 1]")
+        if nu % peel_nu != 0:
+            raise InconsistentInputsError("nu_inf* not divisible by the peeled part")
+        nu //= peel_nu
+    if nu != 1:
+        raise InconsistentInputsError(f"residual nu_inf* = {nu} after peeling")
+    return SquarefullSplit(E=n_left, L=Factorization(tuple(sorted(pairs))))
+
+
+def _fraction_two_values(N, k1, a1, k2, a2, rng):
+    nu23_1 = recover_nu23_star(N, k1, a1)
+    nu23_2 = recover_nu23_star(N, k2, a2)
+    if nu23_1 != nu23_2:
+        raise InconsistentInputsError(
+            f"oracle values disagree about the starred Kronecker pair: "
+            f"{nu23_1} vs {nu23_2}"
+        )
+    nu2, nu3 = nu23_1
+    u1 = 12 * a1 - twelve_combination(k1, 0, 0, nu2, nu3)
+    u2 = 12 * a2 - twelve_combination(k2, 0, 0, nu2, nu3)
+    s0 = Fraction(u2 - u1, (k2 - k1) * N)
+    nu_inf = Fraction(u2 * (k1 - 1) - u1 * (k2 - 1), 6 * (k2 - k1))
+    if nu_inf.denominator != 1 or nu_inf <= 0:
+        raise InconsistentInputsError(f"solved nu_inf* = {nu_inf} is not a positive integer")
+    if not 0 < s0 <= 1:
+        raise InconsistentInputsError(f"solved s0* = {s0} outside (0, 1]")
+    return _fraction_from_invariants(N, s0, int(nu_inf), rng)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (InconsistentInputsError, FactoringFailureError) as exc:
+        return type(exc), str(exc)
+
+
+_LIES = (-24, -12, -2, -1, 1, 2, 12, 24)
+
+
+@lru_cache(maxsize=None)
+def _small_values(limit=3_000):
+    """A(2), A(4) and B(2) at every level up to limit, from the sieve."""
+    tables = kernels.star_tables(limit)
+    d2 = kernels.dimension_tables(2, tables)
+    a4 = kernels.dimension_tables(4, tables).A12 // 12
+    return [(int(x), int(y), int(z)) for x, y, z in zip(d2.A12 // 12, a4, d2.B12 // 12)]
+
+
+def test_integer_split_matches_the_fraction_split():
+    # every N <= 3,000, truthful and with A(2) or A(4) off: the same split,
+    # or the same exception type and message, in either order of weights
+    values = _small_values()
+    cases = 0
+    for n in range(2, 3_001):
+        a2, a4, _ = values[n]
+        for v2, v4 in [(a2, a4)] + [(a2 + o, a4) for o in _LIES] + [(a2, a4 + o) for o in _LIES]:
+            for args in ((n, 2, v2, 4, v4), (n, 4, v4, 2, v2)):
+                want = _outcome(_fraction_two_values, *args, random.Random(n))
+                got = _outcome(factor_squarefull_two_values, *args, random.Random(n))
+                assert got == want, args
+                cases += 1
+    assert cases == 2 * 17 * 2_999
+
+
+def test_lying_values_audit_at_small_levels():
+    # each of A(2), A(4), B(2) off by each lie, at every N <= 3,000: the
+    # reduction raises or returns the truth, never a wrong factorization.
+    # The counts pin how the lies end; a change of the random stream may
+    # move cases between FactoringFailureError and the certified truth
+    values = _small_values()
+    tally = Counter()
+    for n in range(2, 3_001):
+        truth = factor_trial(n).factors
+        for i in range(3):
+            for off in _LIES:
+                v = list(values[n])
+                v[i] += off
+                got = _outcome(full_factor_three_values, n, 2, v[0], 4, v[1], 2, v[2], random.Random(n))
+                if isinstance(got, Factorization):
+                    tally["truth" if got.factors == truth else "wrong"] += 1
+                else:
+                    tally[got[0].__name__] += 1
+    assert tally["wrong"] == 0
+    assert tally == {
+        "InconsistentInputsError": 46_286,
+        "FactoringFailureError": 20_702,
+        "truth": 4_988,
+    }
 
 
 # --- full factorization -------------------------------------------------------
@@ -416,7 +580,7 @@ def test_sharp_guesses_hold_the_true_triple():
     for f in levels:
         split, truth = _split_and_truth(f)
         n = f.value()
-        guesses = list(_sharp_guesses(split))
+        guesses = list(_sharp_guesses(split, local_product(sharp_local, split.L)))
         distinct = set(guesses)
         top = _omega_max(split.E)
         assert truth in distinct, n
@@ -490,20 +654,21 @@ def test_each_prime_is_tested_once_per_reduction(monkeypatch):
 
 @pytest.mark.parametrize("kb", [2, 4])
 def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
-    # with every split of E refused, the loop hands the splitter each
-    # candidate that passes its filters and the Fermat check: the true
-    # phi(E) must be among them, also where E = 2 (N = 2 and N = 2 * L).
-    # The squarefull step splits only numbers built from the primes of L.
+    # with every factoring of E's parts refused, the loop hands the
+    # factorizer each candidate that passes its filters and the base-2
+    # chain: the true phi(E) must be among them, also where E = 2 (N = 2
+    # and N = 2 * L).  The squarefull step factors only numbers built from
+    # the primes of L, which are coprime to E.
     seen = []
-    split_l = reductions.factor_given_phi_multiple
+    factor_into = reductions._phi_factor_into
 
-    def refuse_e(d, m, rng):
-        if d != split.E:
-            return split_l(d, m, rng)
+    def refuse_e(c, m, rng, counts):
+        if math.gcd(c, split.E) == 1:
+            return factor_into(c, m, rng, counts)
         seen.append(m)
         raise FactoringFailureError("refused")
 
-    monkeypatch.setattr(reductions, "factor_given_phi_multiple", refuse_e)
+    monkeypatch.setattr(reductions, "_phi_factor_into", refuse_e)
     levels = [2, 6, 2 * 9, 2 * 25, 2 * 4 * 49, 2 * 27 * 121, 2 * 3 * 5 * 7 * 11 * 13 * 17]
     for n in levels + list(range(3, 2_001)):
         split, _ = _split_and_truth(factor_trial(n))
@@ -512,6 +677,7 @@ def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
         seen.clear()
         with pytest.raises(FactoringFailureError):
             full_factor_three_values(n, 2, _a(2, n), 4, _a(4, n), kb, _b(kb, n), random.Random(n))
+        assert len(seen) == len(set(seen)), n  # one refusal per candidate
         assert euler_phi(factor_trial(split.E)) in seen, n
 
 
