@@ -29,7 +29,10 @@ already pays the pure-Python cost on those windows too.
   the squarefree ones.
 
 :func:`build_sharp_tables` and :func:`build_star_tables` fill whole
-tables from the same blocks.  G, A and B are each
+tables from the same blocks, and :func:`dimension_tables` combines them
+per weight.  No sweep reads whole tables: the sweeps stream their window,
+and the tables serve only as the tests' references and the benchmark's
+span targets.  G, A and B are each
 :func:`~dimfactor.multfuncs.twelve_combination`, the one closed form the
 exact path evaluates too, applied to arrays: G at (N, 1, (-4|N), (-3|N)),
 A at the star rows, B at the sharp rows plus 12 * delta2 * mu.
@@ -44,7 +47,7 @@ never pay for it.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .arith import primes_below
@@ -258,8 +261,6 @@ class SharpTables:
     the integer N*s0#(N), the three other sharp values, the Mobius
     function, and whether each level is prime."""
 
-    ROWS = ("x", "w", "y", "z", "mu", "prime")  # in the order the sieve yields them
-
     def __init__(self, lo: int, hi: int, x: np.ndarray, w: np.ndarray, y: np.ndarray,
                  z: np.ndarray, mu: np.ndarray, prime: np.ndarray):
         self.lo, self.hi = lo, hi
@@ -278,8 +279,6 @@ class StarTables:
     level is squarefree.  ``sharp`` holds the sharp tables over the same
     levels, sieved on first use; the signed Mobius function is there."""
 
-    ROWS = ("ns0", "nu_inf", "nu2", "nu3", "squarefree")  # in the order the sieve yields them
-
     def __init__(self, lo: int, hi: int, ns0: np.ndarray, nu_inf: np.ndarray,
                  nu2: np.ndarray, nu3: np.ndarray, squarefree: np.ndarray):
         self.lo, self.hi = lo, hi
@@ -296,12 +295,6 @@ def build_star_tables(lo: int, hi: int) -> StarTables:
     in blocks, without touching any level below lo."""
     ns0, nu_inf, nu2, nu3, _, squarefree = _fill(lo, hi, star_blocks(lo, hi))
     return StarTables(lo, hi, ns0, nu_inf, nu2, nu3, squarefree)
-
-
-@lru_cache(maxsize=4)
-def star_tables(limit: int) -> StarTables:
-    """Cached star tables over levels 0..limit."""
-    return build_star_tables(0, limit)
 
 
 def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -337,49 +330,6 @@ def minus_G_rows(levels: np.ndarray, rows) -> tuple[np.ndarray, ...]:
     return levels - rows[0], 1 - rows[1], k4 - rows[2], k3 - rows[3]
 
 
-def table_block(tables: StarTables | SharpTables, lo: int, hi: int):
-    """Levels lo..hi of whole-range tables as one block, in the form the
-    sieve yields: (levels, rows, mask).  A window the tables do not cover
-    raises ValueError."""
-    import numpy as np
-
-    check_covers(tables, lo, hi)
-    sl = slice(lo - tables.lo, hi - tables.lo + 1)
-    *rows, mask = (getattr(tables, name)[sl] for name in tables.ROWS)
-    return np.arange(lo, hi + 1, dtype=np.int64), rows, mask
-
-
-def check_covers(tables: StarTables | SharpTables, lo: int, hi: int) -> None:
-    """Refuse tables that do not hold every level of [lo, hi]."""
-    if not tables.lo <= lo <= hi <= tables.hi:
-        raise ValueError(
-            f"tables cover levels [{tables.lo}, {tables.hi}], not the window [{lo}, {hi}]"
-        )
-
-
-def twelve_A(k: int, tables: StarTables, lo: int, hi: int) -> np.ndarray:
-    """12 * A(k, N) for levels lo..hi inside the star tables' range: the
-    closed form at the starred tables.  It holds from level 2 on (level 1
-    lacks the delta2 term that :func:`dimension_tables` adds).  A window
-    the tables do not cover raises ValueError."""
-    check_covers(tables, lo, hi)
-    sl = slice(lo - tables.lo, hi - tables.lo + 1)
-    return twelve_combination(k, tables.ns0[sl], tables.nu_inf[sl], tables.nu2[sl], tables.nu3[sl])
-
-
-def twelve_B(k: int, sharp: SharpTables, lo: int, hi: int) -> np.ndarray:
-    """12 * B(k, N) for levels lo..hi inside the sharp tables' range: the
-    closed form at the sharp tables plus 12 * delta2 * mu (0 at level 0,
-    where every sharp table reads 0).  A window the tables do not cover
-    raises ValueError."""
-    check_covers(sharp, lo, hi)
-    sl = slice(lo - sharp.lo, hi - sharp.lo + 1)
-    out = twelve_combination(k, sharp.x[sl], sharp.w[sl], sharp.y[sl], sharp.z[sl])
-    if k == 2:
-        out += 12 * sharp.mu[sl]
-    return out
-
-
 class DimensionTables:
     """12 times the four dimension quantities at one weight, for every
     level up to the limit.  Scaling by 12 keeps everything in int64."""
@@ -392,7 +342,9 @@ class DimensionTables:
 
 def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     """All four dimension quantities (times 12) at weight k from star
-    tables over 0..limit and their sharp tables.  Index 1 of A12/B12
+    tables over 0..limit and their sharp tables: A is the closed form at
+    the star rows, B the closed form at the sharp rows plus 12 * delta2 *
+    mu (0 at level 0, where every row reads 0).  Index 1 of A12/B12
     carries the level-one dimension so the divisor-sum identity holds
     across the whole range.
     """
@@ -401,11 +353,13 @@ def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     b1_12 = 12 * level_one_newform_dim(k)  # checks the weight
     if tables.lo != 0 or tables.hi < 1:
         raise ValueError(f"dimension tables need levels 0..limit, got [{tables.lo}, {tables.hi}]")
-    limit = tables.hi
+    limit, sharp = tables.hi, tables.sharp
     G12 = twelve_G(k, np.arange(limit + 1, dtype=np.int64))
-    A12 = twelve_A(k, tables, 0, limit)
+    A12 = twelve_combination(k, tables.ns0, tables.nu_inf, tables.nu2, tables.nu3)
     A12[1] = b1_12
-    B12 = twelve_B(k, tables.sharp, 0, limit)
+    B12 = twelve_combination(k, sharp.x, sharp.w, sharp.y, sharp.z)
+    if k == 2:
+        B12 += 12 * sharp.mu
     H12 = G12 - b1_12
     G12[0] = A12[0] = H12[0] = 0
     return DimensionTables(k=k, limit=limit, G12=G12, A12=A12, B12=B12, H12=H12)

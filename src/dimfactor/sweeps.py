@@ -5,15 +5,15 @@ whole level range with what the squarefree and primality
 characterizations predict, using the exact integer kernel rows: the
 starred rows in squarefree mode, the sharp rows in primality mode.  It
 sieves the window alone and compares each block as soon as it is sieved,
-keeping only counters, violations and catalogued pairs, unless tables are
-passed in, which it reads as one block.  A window of at most
-SMALL_WINDOW = 2^15 levels is sieved and compared in pure Python as one
-block, so a sweep that narrow never imports numpy; a wider one runs in
-numpy.  Both modes and both forms run one comparison: the gap's sign
-must be 0 where the characterization holds, +1 elsewhere, and at each
-pair of the detectors' catalogue (``SQUAREFREE_EXCEPTIONS`` or
-``PRIMALITY_EXCEPTIONS``) the sign catalogued there.  Violations must be
-empty; the catalogued pairs in range are reported separately.
+keeping only counters, violations and catalogued pairs; no sweep reads
+whole tables.  A window of at most SMALL_WINDOW = 2^15 levels is sieved
+and compared in pure Python as one block, so a sweep that narrow never
+imports numpy; a wider one runs in numpy.  Both modes and both forms run
+one comparison: the gap's sign must be 0 where the characterization
+holds, +1 elsewhere, and at each pair of the detectors' catalogue
+(``SQUAREFREE_EXCEPTIONS`` or ``PRIMALITY_EXCEPTIONS``) the sign
+catalogued there.  Violations must be empty; the catalogued pairs in
+range are reported separately.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from .arith import MAX_SWEEP_HI, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
-    StarTables,
-    check_covers,
     minus_G_rows,
     sharp_blocks,
     small_minus_G_rows,
     small_sharp_block,
     small_star_block,
     star_blocks,
-    table_block,
 )
 from .multfuncs import twelve_combination
 
@@ -41,8 +38,8 @@ SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
 
 # Widest window a sweep sieves in pure Python (kernels.small_star_block and
-# small_sharp_block) when it is given no tables; a wider one is sieved in
-# numpy.  A fresh process pays about 0.1 s to import numpy.  Measured as
+# small_sharp_block); a wider one is sieved in numpy, block by block.  A
+# fresh process pays about 0.1 s to import numpy.  Measured as
 # `dimfactor sweep` wall time at HI = 10^6 and 10^7, the pure-Python form
 # is the faster one up to about 2^15 levels in prime mode and about 2^16
 # in squarefree mode (README, "Kernels and benchmark"), so the cap is the
@@ -70,24 +67,20 @@ class SweepReport:
 
 def check_sweep(lo: int, hi: int, ks) -> None:
     """Refuse a sweep the kernels cannot run exactly and in bounded memory,
-    at a weight that is not a positive even integer, or at a weight given
-    twice, before any table is built."""
+    with no weight, at a weight that is not a positive even integer, or at
+    a weight given twice, before any block is sieved."""
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if hi > MAX_SWEEP_HI:
         raise ValueError(f"HI = {hi} exceeds the sweep cap {MAX_SWEEP_HI}")
+    if not ks:
+        raise ValueError("no weight given")
     for i, k in enumerate(ks):
         twelve_weight_coefficients(k)  # raises InvalidWeightError
         if k in ks[:i]:
             raise ValueError(f"weight {k} is given more than once")
         if (k - 1) * hi >= 1 << 62:
             raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
-
-
-def _small(lo: int, hi: int, tables: StarTables | None) -> bool:
-    """Whether a sweep sieves [lo, hi] in pure Python: when no tables are
-    given and the window is at most SMALL_WINDOW levels wide."""
-    return tables is None and hi - lo + 1 <= SMALL_WINDOW
 
 
 def _off_pattern(g, holds) -> set[int]:
@@ -163,59 +156,33 @@ def _small_h_minus_b(levels, rows):
     return at
 
 
-def trichotomy_sweep(
-    lo: int, hi: int, ks, tables: StarTables | None = None
-) -> SweepReport:
+def trichotomy_sweep(lo: int, hi: int, ks) -> SweepReport:
     """Check sign(G - A) against the squarefree trichotomy for every
     level in [lo, hi] and every weight in ks.  Only the representation
-    count is computed; the newform count plays no part here.  Without
-    ``tables`` the window is sieved and compared block by block, in pure
-    Python when it is at most SMALL_WINDOW levels wide."""
+    count is computed; the newform count plays no part here.  The window
+    is sieved and compared block by block, in pure Python when it is at
+    most SMALL_WINDOW levels wide."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    if _small(lo, hi, tables):
+    if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_star_block(lo, hi)], _small_g_minus_a
     else:
-        blocks = star_blocks(lo, hi) if tables is None else [table_block(tables, lo, hi)]
-        gap = _g_minus_a
+        blocks, gap = star_blocks(lo, hi), _g_minus_a
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     return _compare(report, blocks, gap, SQUAREFREE_EXCEPTIONS)
 
 
-def _sharp_window(lo: int, hi: int, tables: StarTables | None):
-    """The sharp blocks covering [lo, hi]: the sharp tables of ``tables``
-    as one block when given, otherwise the window sieved block by block."""
-    if tables is None:
-        return sharp_blocks(lo, hi)
-    check_covers(tables, lo, hi)
-    return [table_block(tables.sharp, lo, hi)]
-
-
-def primality_sweep(
-    lo: int, hi: int, ks, tables: StarTables | None = None
-) -> SweepReport:
+def primality_sweep(lo: int, hi: int, ks) -> SweepReport:
     """Check sign(H - B) against the primality trichotomy for every
-    level in [lo, hi] and every weight in ks.  Without ``tables`` the
-    window is sieved and compared block by block, in pure Python when it
-    is at most SMALL_WINDOW levels wide."""
+    level in [lo, hi] and every weight in ks.  The window is sieved and
+    compared block by block, in pure Python when it is at most
+    SMALL_WINDOW levels wide."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
-    if _small(lo, hi, tables):
+    if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_sharp_block(lo, hi)], _small_h_minus_b
     else:
-        blocks, gap = _sharp_window(lo, hi, tables), _h_minus_b
+        blocks, gap = sharp_blocks(lo, hi), _h_minus_b
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     return _compare(report, blocks, gap, PRIMALITY_EXCEPTIONS)
 
-
-def equality_pairs_at_composites(
-    lo: int, hi: int, k: int, tables: StarTables | None = None
-) -> list[int]:
-    """Composite levels in [lo, hi] where H(k, .) equals B(k, .), i.e.
-    the observed equality exceptions at weight k."""
-    check_sweep(lo, hi, (k,))
-    out = []
-    for levels, rows, prime in _sharp_window(lo, hi, tables):
-        eq = _h_minus_b(levels, rows)(k) == 0
-        out += levels[eq & ~prime].tolist()
-    return out

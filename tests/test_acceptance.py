@@ -38,11 +38,7 @@ from dimfactor.reductions import (
     factor_squarefull_two_values,
     full_factor_three_values,
 )
-from dimfactor.sweeps import (
-    equality_pairs_at_composites,
-    primality_sweep,
-    trichotomy_sweep,
-)
+from dimfactor.sweeps import primality_sweep, trichotomy_sweep
 
 SWEEP_LIMIT = 100_000
 CONTAINMENT_LIMIT = 1_000_000
@@ -51,12 +47,12 @@ LEVEL_CAP = 2**48
 
 @pytest.fixture(scope="module")
 def tables_1e5():
-    return kernels.star_tables(SWEEP_LIMIT)
+    return kernels.build_star_tables(0, SWEEP_LIMIT)
 
 
 @pytest.fixture(scope="module")
 def tables_1e6():
-    return kernels.star_tables(CONTAINMENT_LIMIT)
+    return kernels.build_star_tables(0, CONTAINMENT_LIMIT)
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +67,12 @@ def _ok(num, label):
 # -- 1 ----------------------------------------------------------------------
 
 
-def test_criterion_01_trichotomy_sweep(tables_1e5):
+def test_criterion_01_trichotomy_sweep():
     """sign(G - A) over N in [2, 1e5], k in {2,...,12}: zero exactly on
     squarefree levels and (2,9), negative only at (2,4), positive
     otherwise.  Exact (12-scaled int64, validated against the rational
     path in test_kernels)."""
-    rep = trichotomy_sweep(2, SWEEP_LIMIT, (2, 4, 6, 8, 10, 12), tables_1e5)
+    rep = trichotomy_sweep(2, SWEEP_LIMIT, (2, 4, 6, 8, 10, 12))
     assert rep.checked == 6 * (SWEEP_LIMIT - 1)
     assert rep.violations == []
     assert sorted(set(rep.exceptions_observed)) == [(2, 4), (2, 9)]
@@ -90,7 +86,7 @@ def test_criterion_02_primality_trichotomy(tables_1e5):
     """sign(H - B) over N in [2, 1e5], k in {2,4,6,12}: equality at primes
     and exactly the catalogued composite pairs; reversal only at (2,4)."""
     ks = (2, 4, 6, 12)
-    rep = primality_sweep(2, SWEEP_LIMIT, ks, tables_1e5)
+    rep = primality_sweep(2, SWEEP_LIMIT, ks)
     assert rep.checked == 4 * (SWEEP_LIMIT - 1)
     assert rep.violations == []
     want_eq = {
@@ -99,12 +95,14 @@ def test_criterion_02_primality_trichotomy(tables_1e5):
         6: [],
         12: [],
     }
+    composite = ~tables_1e5.sharp.prime[2:]
     for k in ks:
-        # (2,4) is a reversal, not an equality, so it is absent here
-        observed = equality_pairs_at_composites(2, SWEEP_LIMIT, k, tables_1e5)
-        assert observed == want_eq[k], (k, observed)
         dims = kernels.dimension_tables(k, tables_1e5)
-        reversed_at = np.flatnonzero(dims.H12[2:] < dims.B12[2:]) + 2
+        gap = dims.H12[2:] - dims.B12[2:]
+        # (2,4) is a reversal, not an equality, so it is absent here
+        observed = (np.flatnonzero((gap == 0) & composite) + 2).tolist()
+        assert observed == want_eq[k], (k, observed)
+        reversed_at = np.flatnonzero(gap < 0) + 2
         assert list(reversed_at) == ([4] if k == 2 else []), k
     _ok(2, f"primality trichotomy, {rep.checked} pairs, 0 violations")
 
@@ -229,7 +227,7 @@ def test_criterion_06_inequality_suites():
     """Scaled-gap lower bound and the T inequality, exactly, for all
     N <= 1e4 and k in {2,4,6}."""
     limit = 10_000
-    tables = kernels.star_tables(limit)
+    tables = kernels.build_star_tables(0, limit)
     idx = np.arange(limit + 1, dtype=np.int64)
     from dimfactor.bounds import compute_T
 

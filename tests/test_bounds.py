@@ -143,7 +143,7 @@ def test_amgm_floor_on_divisor_carrying_levels():
 def test_containment_small_range():
     # every d >= 27 with d^2 | N <= 60000 sits strictly inside the interval
     limit = 60_000
-    tables = kernels.star_tables(limit)
+    tables = kernels.build_star_tables(0, limit)
     dims = {k: kernels.dimension_tables(k, tables) for k in (2, 4)}
     pairs = []
     for d in range(27, int(limit**0.5) + 1):

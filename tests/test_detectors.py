@@ -20,6 +20,7 @@ from dimfactor.detectors import (
 )
 from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import InvalidWeightError
+from dimfactor.multfuncs import twelve_combination
 
 _ORACLE = DefaultOracle()
 
@@ -104,8 +105,8 @@ def test_no_truthful_squarefree_gap_is_below_the_floor(k, least):
     # k - 15, and the detector flags none of the levels with the least one
     hi = 2 * 10**5
     levels = np.arange(2, hi + 1, dtype=np.int64)
-    tables = kernels.build_star_tables(2, hi)
-    a12 = kernels.twelve_A(k, tables, 2, hi)
+    t = kernels.build_star_tables(2, hi)
+    a12 = twelve_combination(k, t.ns0, t.nu_inf, t.nu2, t.nu3)
     gap = kernels.twelve_G(k, levels) - a12
     assert gap.min() == 0 and gap[gap > 0].min() == least >= k - 15
     for i in np.flatnonzero(gap == least)[:50].tolist():
@@ -195,10 +196,14 @@ def test_rejects_bad_levels_and_values():
         squarefree_test(10, 2, -1)
 
 
-def test_squarefree_soundness_sweep():
+@pytest.fixture(scope="module")
+def tables_1e5():
+    return kernels.build_star_tables(0, 100_000)
+
+
+def test_squarefree_soundness_sweep(tables_1e5):
     # full agreement with the ground-truth squarefree predicate
-    limit = 100_000
-    tables = kernels.star_tables(limit)
+    limit, tables = tables_1e5.hi, tables_1e5
     squarefree = {n: factor_trial(n).mobius() != 0 for n in range(2, limit + 1)}
     for k in (2, 4, 6, 8, 10, 12):
         dims = kernels.dimension_tables(k, tables)
@@ -223,9 +228,8 @@ def _prime_flags(limit):
     return flags
 
 
-def test_primality_soundness_sweep():
-    limit = 100_000
-    tables = kernels.star_tables(limit)
+def test_primality_soundness_sweep(tables_1e5):
+    limit, tables = tables_1e5.hi, tables_1e5
     is_prime = _prime_flags(limit)
     catalogued = {pair for test, _, pair, _, _ in _CATALOGUE if test is primality_test}
     for k in (2, 4, 6, 12):

@@ -159,7 +159,7 @@ def test_convolution_identity_wide():
     from dimfactor import kernels
 
     limit = 10_000
-    tables = kernels.star_tables(limit)
+    tables = kernels.build_star_tables(0, limit)
     for k in (2, 4, 6, 12):
         dims = kernels.dimension_tables(k, tables)
         summed = np.zeros(limit + 1, dtype=np.int64)

@@ -11,12 +11,7 @@ from dimfactor import sweeps
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.errors import InvalidWeightError
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
-from dimfactor.sweeps import (
-    MAX_SWEEP_HI,
-    equality_pairs_at_composites,
-    primality_sweep,
-    trichotomy_sweep,
-)
+from dimfactor.sweeps import MAX_SWEEP_HI, primality_sweep, trichotomy_sweep
 
 LIMIT = 20_000
 
@@ -136,28 +131,53 @@ def test_dimension_tables_need_levels_from_zero():
             kernels.dimension_tables(2, kernels.build_star_tables(lo, hi))
 
 
-@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep, equality_pairs_at_composites])
-def test_window_sweeps_match_whole_range_tables(monkeypatch, np_tables, sweep):
-    # a sweep that streams its window block by block reports what one
-    # reading the whole-range tables as one block reports, field by field
-    # and in the same order, also when the window spans many blocks
-    def run(lo, hi, tables=None):
-        if sweep is equality_pairs_at_composites:
-            return [sweep(lo, hi, k, tables) for k in (2, 4, 12)]
-        rep = sweep(lo, hi, (2, 4, 12), tables)
-        assert rep.checked == 3 * (hi - lo + 1)
-        return vars(rep)
+# for each sweep: its mode, its catalogue, its gap read off the dimension
+# tables, and the levels where its characterization holds
+_REFERENCE = {
+    trichotomy_sweep: (sweeps.SQUAREFREE_MODE, "SQUAREFREE_EXCEPTIONS",
+                       lambda d: d.G12 - d.A12, lambda t: t.squarefree),
+    primality_sweep: (sweeps.PRIME_MODE, "PRIMALITY_EXCEPTIONS",
+                      lambda d: d.H12 - d.B12, lambda t: t.sharp.prime),
+}
 
+
+def _reference_report(sweep, tables, lo, hi, ks):
+    """The fields of the report ``sweep(lo, hi, ks)`` should give, read off
+    whole-range dimension tables: the gap's sign against the mask and the
+    catalogue as it stands, weight by weight, each in level order."""
+    mode, name, gap, holds = _REFERENCE[sweep]
+    catalogue = getattr(sweeps, name)
+    violations, observed = [], []
+    for k in ks:
+        got = np.sign(gap(kernels.dimension_tables(k, tables))[lo : hi + 1])
+        want = np.where(holds(tables)[lo : hi + 1], 0, 1)
+        for (kk, n), sign in catalogue.items():
+            if kk == k and lo <= n <= hi:
+                want[n - lo] = sign
+                observed.append((k, n))
+        violations += [(k, lo + i, int(want[i]), int(got[i])) for i in np.flatnonzero(got != want)]
+    return {"mode": mode, "lo": lo, "hi": hi, "ks": tuple(ks), "checked": len(ks) * (hi - lo + 1),
+            "violations": violations, "exceptions_observed": observed}
+
+
+@pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
+def test_window_sweeps_match_whole_range_tables(monkeypatch, np_tables, sweep):
+    # a sweep that streams its window block by block reports what the
+    # whole-range dimension tables give, field by field and in the same
+    # order, also when the window spans many blocks
+    ks = (2, 4, 12)
     windows = [(2, 2), (2, 200), (85, 95), (4_097, 19_999), (19_990, LIMIT)]
+    want = {(lo, hi): _reference_report(sweep, np_tables, lo, hi, ks) for lo, hi in windows}
+    assert any(rep["exceptions_observed"] for rep in want.values())
     small_window = sweeps.SMALL_WINDOW
     monkeypatch.setattr(sweeps, "SMALL_WINDOW", 0)  # every window in numpy
     for block in (64, 1000, 4099, 1 << 16):
         monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
         for lo, hi in windows:
-            assert run(lo, hi) == run(lo, hi, np_tables), (block, lo, hi)
+            assert vars(sweep(lo, hi, ks)) == want[lo, hi], (block, lo, hi)
     monkeypatch.setattr(sweeps, "SMALL_WINDOW", small_window)  # these in pure Python
     for lo, hi in windows:
-        assert run(lo, hi) == run(lo, hi, np_tables), (lo, hi)
+        assert vars(sweep(lo, hi, ks)) == want[lo, hi], (lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -167,23 +187,24 @@ def test_window_sweeps_match_whole_range_tables(monkeypatch, np_tables, sweep):
 def test_streamed_violations_come_weight_by_weight(monkeypatch, np_tables, sweep, catalogue):
     # a doctored catalogue: one true pair dropped, and signs no level takes
     # at two weights in different blocks of 1000.  The stream lists the
-    # violations as the one-block read does, weight by weight in the order
-    # given and each in level order, so the CLI's first 50 stay the same.
-    # The window is sieved in pure Python, then in numpy blocks.
+    # violations as the dimension tables give them, weight by weight in the
+    # order given and each in level order, so the CLI's first 50 stay the
+    # same.  The window is sieved in pure Python, then in numpy blocks.
     doctored = dict(getattr(sweeps, catalogue))
     del doctored[(2, 9)]
     doctored |= {(2, 17_777): -1, (4, 5_003): -1, (2, 3_001): -1, (4, 2_500): -1}
     monkeypatch.setattr(sweeps, catalogue, doctored)
     monkeypatch.setattr(kernels, "SIEVE_BLOCK", 1000)
-    want = sweep(2, LIMIT, (4, 2, 12), np_tables)
-    assert [v[:3] for v in want.violations] == [
+    want = _reference_report(sweep, np_tables, 2, LIMIT, (4, 2, 12))
+    assert [v[:3] for v in want["violations"]] == [
         (4, 2_500, -1), (4, 5_003, -1), (2, 9, 1), (2, 3_001, -1), (2, 17_777, -1)
     ]
-    assert (2, 9) not in want.exceptions_observed and (4, 5_003) in want.exceptions_observed
+    assert (2, 9) not in want["exceptions_observed"]
+    assert (4, 5_003) in want["exceptions_observed"]
     assert LIMIT - 1 <= sweeps.SMALL_WINDOW
-    assert vars(sweep(2, LIMIT, (4, 2, 12))) == vars(want)
+    assert vars(sweep(2, LIMIT, (4, 2, 12))) == want
     monkeypatch.setattr(sweeps, "SMALL_WINDOW", 0)
-    assert vars(sweep(2, LIMIT, (4, 2, 12))) == vars(want)
+    assert vars(sweep(2, LIMIT, (4, 2, 12))) == want
 
 
 def _small_windows():
@@ -253,29 +274,9 @@ def test_sweep_memory_does_not_grow_with_the_window(sweep):
     assert abs(large - small) < 1 << 20, (small, large)
 
 
-_SWEEPS = {
-    "trichotomy_sweep": lambda lo, hi, tables: trichotomy_sweep(lo, hi, (2,), tables),
-    "primality_sweep": lambda lo, hi, tables: primality_sweep(lo, hi, (2,), tables),
-    "equality_pairs_at_composites": lambda lo, hi, tables: equality_pairs_at_composites(
-        lo, hi, 2, tables
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_SWEEPS))
-@pytest.mark.parametrize("have,want", [((0, 15), (10, 20)), ((12, 30), (10, 20)), ((12, 30), (10, 10))])
-def test_sweeps_refuse_tables_not_covering_window(name, have, want):
-    # tables missing part of the window are refused with both ranges named,
-    # not read at a wrapped-around index or broadcast into a numpy error
-    with pytest.raises(ValueError, match=r"\[%d, %d\].*\[%d, %d\]" % (*have, *want)):
-        _SWEEPS[name](*want, kernels.build_star_tables(*have))
-    _SWEEPS[name](*want, kernels.build_star_tables(*want))  # exact cover is accepted
-
-
 _SWEEPS_AT = {
     "trichotomy_sweep": lambda k: trichotomy_sweep(2, 10**6, (2, k)),
     "primality_sweep": lambda k: primality_sweep(2, 10**6, (k,)),
-    "equality_pairs_at_composites": lambda k: equality_pairs_at_composites(2, 10**6, k),
 }
 
 
@@ -292,16 +293,16 @@ def test_sweeps_refuse_bad_weights_before_building_tables(monkeypatch, name, k):
 
 
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
-@pytest.mark.parametrize("ks", [(2, 2), (4, 2, 12, 4)])
+@pytest.mark.parametrize("ks", [(2, 2), (4, 2, 12, 4), ()])
 def test_sweeps_refuse_a_repeated_weight_before_building_tables(monkeypatch, sweep, ks):
-    # equality_pairs_at_composites takes a single weight, so only these two
-    # can be handed one twice
+    # a repeated weight, or none at all (which would sieve every block and
+    # compare nothing), is refused before either form of the sieve runs
     def refuse(*_):
-        raise AssertionError("a repeated weight must be refused before any table is built")
+        raise AssertionError("a repeated or missing weight must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "star_blocks", refuse)
-    monkeypatch.setattr(sweeps, "sharp_blocks", refuse)
-    with pytest.raises(ValueError, match="more than once"):
+    for name in ("star_blocks", "sharp_blocks", "small_star_block", "small_sharp_block"):
+        monkeypatch.setattr(sweeps, name, refuse)
+    with pytest.raises(ValueError, match="more than once" if ks else "no weight"):
         sweep(2, 1000, ks)
 
 
@@ -310,21 +311,3 @@ def test_sweeps_past_the_old_weight_cap(sweep):
     # the trichotomies hold at every even weight; these stay inside int64
     rep = sweep(2, 20_000, (2**20 + 2, 10**8 + 2, 10**12))
     assert rep.ok and rep.checked == 3 * 19_999 and rep.exceptions_observed == []
-
-
-_COMBINATIONS = {
-    "twelve_A": lambda tables, lo, hi: kernels.twelve_A(2, tables, lo, hi),
-    "twelve_B": lambda tables, lo, hi: kernels.twelve_B(2, tables.sharp, lo, hi),
-}
-
-
-@pytest.mark.parametrize("name", list(_COMBINATIONS))
-@pytest.mark.parametrize("want", [(10, 20), (25, 40), (31, 35), (5, 40)])
-def test_combinations_refuse_windows_not_covered(name, want):
-    # a window reaching past the tables is refused with both ranges named,
-    # not sliced into a shorter (or empty) array
-    tables = kernels.build_star_tables(12, 30)
-    with pytest.raises(ValueError, match=r"\[12, 30\].*\[%d, %d\]" % want):
-        _COMBINATIONS[name](tables, *want)
-    assert len(_COMBINATIONS[name](tables, 12, 30)) == 19
-    assert len(_COMBINATIONS[name](tables, 20, 20)) == 1

@@ -177,7 +177,7 @@ def test_recover_examples():
 
 def test_recover_matches_star_functions_broadly():
     limit = 100_000
-    tables = kernels.star_tables(limit)
+    tables = kernels.build_star_tables(0, limit)
     for k in (2, 4, 6):
         dims = kernels.dimension_tables(k, tables)
         for n in range(1, limit + 1):
@@ -262,7 +262,7 @@ def test_two_value_rejects_lying_oracle(rng):
 def test_linear_solve_matches_star_functions(rng):
     # the solved invariants equal the directly computed ones
     limit = 10_000
-    tables = kernels.star_tables(limit)
+    tables = kernels.build_star_tables(0, limit)
     d2 = kernels.dimension_tables(2, tables)
     d4 = kernels.dimension_tables(4, tables)
     for n in range(2, limit + 1):
@@ -348,22 +348,25 @@ def _outcome(call, *args):
 _LIES = (-24, -12, -2, -1, 1, 2, 12, 24)
 
 
-@lru_cache(maxsize=None)
-def _small_values(limit=3_000):
-    """A(2), A(4) and B(2) at every level up to limit, from the sieve."""
-    tables = kernels.star_tables(limit)
-    d2 = kernels.dimension_tables(2, tables)
-    a4 = kernels.dimension_tables(4, tables).A12 // 12
+@pytest.fixture(scope="module")
+def tables_3k():
+    return kernels.build_star_tables(0, 3_000)
+
+
+@pytest.fixture(scope="module")
+def small_values(tables_3k):
+    """A(2), A(4) and B(2) at every level up to 3,000, from the sieve."""
+    d2 = kernels.dimension_tables(2, tables_3k)
+    a4 = kernels.dimension_tables(4, tables_3k).A12 // 12
     return [(int(x), int(y), int(z)) for x, y, z in zip(d2.A12 // 12, a4, d2.B12 // 12)]
 
 
-def test_integer_split_matches_the_fraction_split():
+def test_integer_split_matches_the_fraction_split(small_values):
     # every N <= 3,000, truthful and with A(2) or A(4) off: the same split,
     # or the same exception type and message, in either order of weights
-    values = _small_values()
     cases = 0
     for n in range(2, 3_001):
-        a2, a4, _ = values[n]
+        a2, a4, _ = small_values[n]
         for v2, v4 in [(a2, a4)] + [(a2 + o, a4) for o in _LIES] + [(a2, a4 + o) for o in _LIES]:
             for args in ((n, 2, v2, 4, v4), (n, 4, v4, 2, v2)):
                 want = _outcome(_fraction_two_values, *args, random.Random(n))
@@ -373,18 +376,17 @@ def test_integer_split_matches_the_fraction_split():
     assert cases == 2 * 17 * 2_999
 
 
-def test_lying_values_audit_at_small_levels():
+def test_lying_values_audit_at_small_levels(small_values):
     # each of A(2), A(4), B(2) off by each lie, at every N <= 3,000: the
     # reduction raises or returns the truth, never a wrong factorization.
     # The counts pin how the lies end; a change of the random stream may
     # move cases between FactoringFailureError and the certified truth
-    values = _small_values()
     tally = Counter()
     for n in range(2, 3_001):
         truth = factor_trial(n).factors
         for i in range(3):
             for off in _LIES:
-                v = list(values[n])
+                v = list(small_values[n])
                 v[i] += off
                 got = _outcome(full_factor_three_values, n, 2, v[0], 4, v[1], 2, v[2], random.Random(n))
                 if isinstance(got, Factorization):
@@ -682,11 +684,10 @@ def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
 
 
 @pytest.mark.parametrize("kb", [2, 4])
-def test_three_value_reduction_every_small_level(kb):
-    tables = kernels.star_tables(3_000)
-    a2 = kernels.dimension_tables(2, tables).A12 // 12
-    a4 = kernels.dimension_tables(4, tables).A12 // 12
-    b = kernels.dimension_tables(kb, tables).B12 // 12
+def test_three_value_reduction_every_small_level(kb, tables_3k):
+    a2 = kernels.dimension_tables(2, tables_3k).A12 // 12
+    a4 = kernels.dimension_tables(4, tables_3k).A12 // 12
+    b = kernels.dimension_tables(kb, tables_3k).B12 // 12
     for n in range(2, 3_001):
         got = full_factor_three_values(
             n, 2, int(a2[n]), 4, int(a4[n]), kb, int(b[n]), random.Random(n)
