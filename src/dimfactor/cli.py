@@ -60,25 +60,37 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
+def _int(s: str, expected: str) -> int:
+    """int(s), or a usage error that says what was expected: argparse would
+    otherwise name the converting helper in its message."""
+    try:
+        return int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{expected}, got {s!r}") from None
+
+
 def _even_weight(s: str) -> int:
-    k = int(s)
+    k = _int(s, "weight must be a positive even integer")
     if k < 2 or k % 2 != 0:
         raise argparse.ArgumentTypeError(f"weight must be a positive even integer, got {k}")
     return k
 
 
 def _positive_int(s: str) -> int:
-    n = int(s)
+    n = _int(s, "expected a positive integer")
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
     return n
 
 
 def _parse_range(s: str) -> tuple[int, int]:
-    lo, sep, hi = s.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"range must look like LO..HI, got {s!r}")
-    lo_i, hi_i = int(lo), int(hi)
+    lo, _, hi = s.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi)  # hi is "" when there is no ".."
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range must look like LO..HI with integers LO and HI, got {s!r}"
+        ) from None
     if lo_i < 2 or hi_i < lo_i:
         raise argparse.ArgumentTypeError(f"bad range {s!r}")
     return lo_i, hi_i

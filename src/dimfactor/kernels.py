@@ -8,7 +8,12 @@ intermediate is about (k - 1) * hi, which the sweeps keep below 2^62
 One sieve (:func:`_sieve`) multiplies the local factors of
 :mod:`~dimfactor.multfuncs` along each level's prime factors over any
 window lo..hi and yields the result block by block, so a sweep holds one
-block at a time.  Its strides are the multiples of p^min_e for each prime
+block at a time.  It allocates its buffers once per window and refills
+them for each block: a block's arrays are views of those buffers, valid
+until the next block is drawn.  :func:`_fill` copies each block into
+whole tables, and the sweeps compare each block, turning its rows into
+the gap rows in place (:func:`minus_G_rows`), before they draw the next.
+Its strides are the multiples of p^min_e for each prime
 p <= sqrt(hi), less p itself.  The same sieve in pure Python
 (:func:`_small_sieve`, through :func:`small_star_block` and
 :func:`small_sharp_block`) returns a window as one block of lists; the
@@ -68,6 +73,17 @@ def _kron(levels: np.ndarray) -> np.ndarray:
     return np.take(np.array(_KRON12, np.int8), levels % 12, axis=1)
 
 
+def kron_tile() -> np.ndarray:
+    """(-4|N) and (-3|N) for N = 0, 1, ..., at least SIEVE_BLOCK + 11, as
+    two int8 rows.  Both are 12-periodic, so :func:`minus_G_rows` reads
+    them at a block of consecutive levels a, a+1, ... as the view
+    ``tile[:, a % 12 :]``, with no remainder taken; one tile serves a
+    whole sweep."""
+    import numpy as np
+
+    return np.tile(np.array(_KRON12, np.int8), SIEVE_BLOCK // 12 + 2)
+
+
 # --- the sieve -----------------------------------------------------------
 
 SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
@@ -111,28 +127,38 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
     excluded), (levels, rows, mask): five multiplicative functions with
     local factors ``local(p, e)``, as rows of shape (5, len(levels)).
 
-    The local-factor rows are tabled once per prime power, before the
-    first block.  Each block walks the primes p <= sqrt(hi) in increasing
-    order: the exact power p^e, e >= min_e, of every multiple of p^min_e
-    other than p itself is read off the strided multiples of p^min_e,
-    p^(min_e+1), ..., divided out, and its local factor multiplied in.
-    ``rest(rows, r, levels)`` multiplies in the factors of what is left,
-    r, and returns the mask: the levels no stride touched.
+    The local-factor rows are tabled once per prime power, and the
+    block's buffers (levels, the rest, the rows, the exponents) allocated
+    once, before the first block; each block refills them in place.  So
+    ``levels`` and ``rows`` are views valid until the next block is drawn:
+    a caller that keeps a block past that copies it.  Each block walks
+    the primes p <= sqrt(hi) in increasing order: the exact power p^e,
+    e >= min_e, of every multiple of p^min_e other than p itself is read
+    off the strided multiples of p^min_e, p^(min_e+1), ..., divided out,
+    and its local factor multiplied in, row by row.  ``rest(rows, r,
+    levels)`` multiplies in the factors of what is left, r, and returns
+    the mask: the levels no stride touched.
     """
     import numpy as np
 
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
+    a0 = max(lo, 1)
     factors = [  # (powers, the same as an array, local factor rows by exponent)
         (pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64))
         for _, pows, rows in _prime_powers(hi, local)
     ]
-    exps = np.empty(SIEVE_BLOCK, dtype=np.int64)
-    for a in range(max(lo, 1), hi + 1, SIEVE_BLOCK):
+    size = min(SIEVE_BLOCK, hi + 1 - a0)
+    levels = np.arange(a0, a0 + size, dtype=np.int64)
+    rem, exps = np.empty_like(levels), np.empty_like(levels)
+    acc = np.empty((5, size), dtype=np.int64)
+    for a in range(a0, hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - a)
-        levels = np.arange(a, a + size, dtype=np.int64)
-        rem = levels.copy()
-        acc = np.ones((5, size), dtype=np.int64)
+        if size < len(levels):  # the last block, shorter
+            levels, rem, acc, exps = levels[:size], rem[:size], acc[:, :size], exps[:size]
+        levels += a - int(levels[0])
+        rem[:] = levels
+        acc.fill(1)
         for pows, pow_arr, rows in factors:
             step = pows[min_e]
             first = max(-a % step, 2 * pows[1] - a)
@@ -145,7 +171,8 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
                 exps[start : size : pows[e]] = e
             e_at = exps[first:size:step]
             rem[first::step] //= pow_arr[e_at]
-            acc[:, first::step] *= rows[e_at].T
+            for row, factor in zip(acc, rows.T):
+                row[first::step] *= factor[e_at]
         yield levels, acc, rest(acc, rem, levels)
 
 
@@ -216,7 +243,7 @@ def small_star_block(lo: int, hi: int):
 
 
 def small_minus_G_rows(levels, rows) -> tuple[list, ...]:
-    """:func:`minus_G_rows` on lists."""
+    """:func:`minus_G_rows` on lists, as four new lists."""
     k4, k3 = _KRON12
     return (
         [n - v for n, v in zip(levels, rows[0])],
@@ -229,7 +256,8 @@ def small_minus_G_rows(levels, rows) -> tuple[list, ...]:
 def sharp_blocks(lo: int, hi: int):
     """The sharp sieve over levels lo..hi, block by block: rows N*s0#,
     nu_inf#, nu2#, nu3#, mu, and primality as the mask.  The strides of p
-    skip p itself, so a prime is left whole to the rest step."""
+    skip p itself, so a prime is left whole to the rest step.  The levels
+    and rows are views of buffers the next block refills."""
     return _sieve(lo, hi, sharp_local, 1, _sharp_rest)
 
 
@@ -238,7 +266,8 @@ def star_blocks(lo: int, hi: int):
     nu_inf*, nu2*, nu3*, |mu|, and squarefreeness as the mask.  At p || N
     the starred local factor is (p, 1, (-4|p), (-3|p)), so with N = L*m,
     L the squarefull part, the rows are those of L, from the strides of
-    p^2, times those of the squarefree rest m."""
+    p^2, times those of the squarefree rest m.  The levels and rows are
+    views of buffers the next block refills."""
     return _sieve(lo, hi, star_local, 2, _star_rest)
 
 
@@ -321,13 +350,22 @@ def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
     return twelve_combination(k, levels, 1, *_kron(levels))
 
 
-def minus_G_rows(levels: np.ndarray, rows) -> tuple[np.ndarray, ...]:
-    """(N, 1, (-4|N), (-3|N)) minus the first four ``rows`` at each level N.
+def minus_G_rows(levels: np.ndarray, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """Overwrite the first four ``rows`` with (N, 1, (-4|N), (-3|N)) minus
+    them at each level N, for consecutive levels, and return those four.
     twelve_combination is linear, so at any weight it maps these to 12 * G
     minus the closed form at the rows: the Kronecker rows are read once
-    for every weight."""
-    k4, k3 = _kron(levels)
-    return levels - rows[0], 1 - rows[1], k4 - rows[2], k3 - rows[3]
+    for every weight, off ``tile`` from :func:`kron_tile`.  Row 4 is left
+    as it is."""
+    import numpy as np
+
+    i = int(levels[0]) % 12
+    k4, k3 = tile[:, i : i + len(levels)]
+    np.subtract(levels, rows[0], out=rows[0])
+    np.subtract(1, rows[1], out=rows[1])
+    np.subtract(k4, rows[2], out=rows[2])
+    np.subtract(k3, rows[3], out=rows[3])
+    return rows[:4]
 
 
 class DimensionTables:

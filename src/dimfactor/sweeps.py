@@ -25,6 +25,7 @@ from .arith import MAX_SWEEP_HI, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
+    kron_tile,
     minus_G_rows,
     sharp_blocks,
     small_minus_G_rows,
@@ -101,8 +102,10 @@ def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
     holds (N squarefree, or prime), +1 elsewhere, and the catalogued sign
     at each pair of ``catalogue`` in range.  ``gap(levels, rows)`` gives
     the block's gap as a function of the weight; blocks and gaps are
-    numpy arrays or, from the pure-Python sieve, lists.  Violations are
-    listed weight by weight, each in level order."""
+    numpy arrays or, from the pure-Python sieve, lists.  A numpy block
+    is a view of buffers the sieve refills, so each block is compared in
+    full before the next is drawn.  Violations are listed weight by
+    weight, each in level order."""
     lo, hi = report.lo, report.hi
     pairs = [(k, n, sign) for k in report.ks
              for (kk, n), sign in catalogue.items() if kk == k and lo <= n <= hi]
@@ -124,16 +127,18 @@ def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
     return report
 
 
-def _g_minus_a(levels, rows):
-    """12 (G - A) at any weight, over one star block."""
-    gaps = minus_G_rows(levels, rows)
+def _g_minus_a(tile, levels, rows):
+    """12 (G - A) at any weight, over one star block, whose rows become
+    the gap rows; ``tile`` is :func:`~dimfactor.kernels.kron_tile`."""
+    gaps = minus_G_rows(levels, rows, tile)
     return lambda k: twelve_combination(k, *gaps)
 
 
-def _h_minus_b(levels, rows):
+def _h_minus_b(tile, levels, rows):
     """12 (H - B) at any weight, over one sharp block: G less the closed
-    form at the sharp rows, less the level-one count and delta2 * mu."""
-    gaps = minus_G_rows(levels, rows)
+    form at the sharp rows, less the level-one count and delta2 * mu.
+    The block's first four rows become the gap rows."""
+    gaps = minus_G_rows(levels, rows, tile)
     return lambda k: twelve_combination(k, *gaps) - 12 * (
         level_one_newform_dim(k) + (rows[4] if k == 2 else 0)
     )
@@ -167,7 +172,7 @@ def trichotomy_sweep(lo: int, hi: int, ks) -> SweepReport:
     if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_star_block(lo, hi)], _small_g_minus_a
     else:
-        blocks, gap = star_blocks(lo, hi), _g_minus_a
+        blocks, gap = star_blocks(lo, hi), partial(_g_minus_a, kron_tile())
     report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     return _compare(report, blocks, gap, SQUAREFREE_EXCEPTIONS)
 
@@ -182,7 +187,7 @@ def primality_sweep(lo: int, hi: int, ks) -> SweepReport:
     if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_sharp_block(lo, hi)], _small_h_minus_b
     else:
-        blocks, gap = sharp_blocks(lo, hi), _h_minus_b
+        blocks, gap = sharp_blocks(lo, hi), partial(_h_minus_b, kron_tile())
     report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
     return _compare(report, blocks, gap, PRIMALITY_EXCEPTIONS)
 

@@ -236,6 +236,26 @@ def test_sweep_usage(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,bad,expected",
+    [
+        (["sweep", "2..1e5"], "2..1e5", "LO..HI with integers"),
+        (["sweep", "2..100", "--k", "a"], "a", "positive even integer"),
+        (["dim", "A", "x", "10"], "x", "positive even integer"),
+        (["dim", "A", "2", "x"], "x", "positive integer"),
+    ],
+    ids=["sweep-range", "sweep-weights", "dim-weight", "dim-level"],
+)
+def test_non_integer_arguments_name_the_expected_form(capsys, argv, bad, expected):
+    # the usage error says what was expected, not which private helper
+    # failed to convert the argument
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    message = err.splitlines()[-1]
+    assert message.startswith("error: argument ") and expected in message and repr(bad) in message
+    assert not re.search(r"\b_[a-z]", err), err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["test", "squarefree", "2", "12", "-1"],

@@ -241,11 +241,22 @@ def test_off_pattern_reads_lists_and_arrays_alike():
 
 @pytest.mark.parametrize("small,blocks", [(kernels.small_star_block, kernels.star_blocks),
                                           (kernels.small_sharp_block, kernels.sharp_blocks)])
-def test_small_blocks_match_the_numpy_blocks(small, blocks):
+def test_small_blocks_match_the_numpy_blocks(monkeypatch, small, blocks):
     # the pure-Python sieve gives the numpy sieve's levels, rows and mask,
-    # level 0 skipped alike
+    # level 0 skipped alike.  Each numpy block is read as it is drawn, since
+    # its arrays are views of buffers the next block refills; at 1000
+    # levels a block, windows of several blocks, the last one shorter or
+    # not, show a buffer left stale by the block before.
     width = sweeps.SMALL_WINDOW
-    for lo, hi in [(0, 5), (1, 1), (2, 2), (0, width - 1), (MAX_SWEEP_HI - 999, MAX_SWEEP_HI)]:
+    windows = [(0, 5), (1, 1), (2, 2), (0, width - 1), (MAX_SWEEP_HI - 999, MAX_SWEEP_HI)]
+    _check_small_blocks(small, blocks, windows)
+    monkeypatch.setattr(kernels, "SIEVE_BLOCK", 1000)
+    _check_small_blocks(small, blocks, [(MAX_SWEEP_HI - 2999, MAX_SWEEP_HI), (0, 3000),
+                                        (2, 4_321), (999_001, 1_003_500)])
+
+
+def _check_small_blocks(small, blocks, windows):
+    for lo, hi in windows:
         levels, rows, mask = small(lo, hi)
         got = [list(levels), [list(r) for r in rows], list(mask)]
         want = [[], [[] for _ in range(5)], []]
@@ -260,7 +271,10 @@ def test_small_blocks_match_the_numpy_blocks(small, blocks):
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
 def test_sweep_memory_does_not_grow_with_the_window(sweep):
     # numpy reports its allocations to tracemalloc: the peak of a streamed
-    # sweep is one block, whatever the window's width
+    # sweep is one block, whatever the window's width.  That block is the
+    # sieve's reused buffers (levels, rest, exponents, five rows: 64 B a
+    # level), the gap at one weight and the combination's temporaries, well
+    # under 112 B for each level of a block
     def peak(hi):
         tracemalloc.start()
         try:
@@ -272,6 +286,7 @@ def test_sweep_memory_does_not_grow_with_the_window(sweep):
     sweep(2, 2 * 10**5, (2, 4))
     small, large = peak(2 * 10**5), peak(8 * 10**5)
     assert abs(large - small) < 1 << 20, (small, large)
+    assert peak(10**6) < 112 * kernels.SIEVE_BLOCK
 
 
 _SWEEPS_AT = {
