@@ -8,10 +8,12 @@ on its arguments.
 Primality is Miller-Rabin with graded deterministic bases: below psi_t,
 the least strong pseudoprime to the first t prime bases, the first t
 primes decide it exactly (seven bases below 2^48, thirteen, 2..41, below
-psi_13 ~ 3.3e24); from psi_13 on the test is probabilistic.  The
-factorizer at the bottom trial-divides by the primes below 2^10 and hands
-any larger cofactor to Pollard-Brent rho, within a fixed step budget.  It
-is ground-truth plumbing for tests and the default dimension oracle; the
+psi_13 ~ 3.3e24); from psi_13 on the test is probabilistic.  Each base
+walks :func:`sqrt1_chain` along n - 1, the chain on which the reductions
+split a number from a multiple of its totient.  The factorizer at the
+bottom trial-divides by the primes below 2^10 and hands any larger
+cofactor to Pollard-Brent rho, within a fixed step budget.  It is
+ground-truth plumbing for tests and the default dimension oracle; the
 reduction algorithms never call it.
 """
 
@@ -23,8 +25,9 @@ from functools import lru_cache
 
 from .errors import DomainError, InvalidWeightError
 
-_KRON_M4 = (0, 1, 0, -1)  # indexed by n mod 4
-_KRON_M3 = (0, 1, -1)     # indexed by n mod 3
+# (-4|n) and (-3|n), indexed by n mod 12: the one table of both symbols,
+# for the exact path and both forms of the sieve
+KRON12 = ((0, 1, 0, -1) * 3, (0, 1, -1) * 4)
 _TWELVE_C3 = (4, 0, -4)   # 12 * c3(k), indexed by k mod 3
 
 
@@ -33,7 +36,7 @@ def kronecker_m4(n: int) -> int:
     n ≡ 3 (mod 4), 0 if n is even."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _KRON_M4[n % 4]
+    return KRON12[0][n % 12]
 
 
 def kronecker_m3(n: int) -> int:
@@ -41,7 +44,7 @@ def kronecker_m3(n: int) -> int:
     n ≡ 2 (mod 3), 0 if 3 divides n."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _KRON_M3[n % 3]
+    return KRON12[1][n % 12]
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -85,19 +88,27 @@ _PSI = (
 )
 
 
-def _mr_composite_witness(n: int, a: int) -> bool:
-    """True iff base a proves odd n > 2 composite."""
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return False
-    return True
+def sqrt1_chain(a: int, m: int, c: int) -> int | None:
+    """a**m mod odd c > 1 along the 2-power chain of m: None when
+    a**m != 1 (mod c), else a factor of c, 1 unless the chain met a
+    nontrivial square root of 1.
+
+    With m = 2^s t, t odd, x = a^t mod c is squared at most s times.
+    When x**2 = 1 with x != +-1, c divides (x - 1)(x + 1) but neither
+    factor, so 1 < gcd(x - 1, c) < c splits c and proves it composite.
+    At m = c - 1 it returns 1 exactly when c is a strong probable prime
+    to base a: a^t = 1, or a^(2^r t) = -1 for some r < s.
+    """
+    s = (m & -m).bit_length() - 1
+    x = pow(a, m >> s, c)
+    if x == 1:
+        return 1
+    for _ in range(s):
+        y = x * x % c
+        if y == 1:
+            return 1 if x == c - 1 else math.gcd(x - 1, c)
+        x = y
+    return None
 
 
 @lru_cache(maxsize=1024)
@@ -127,9 +138,9 @@ def is_probable_prime(n: int) -> bool:
             return False
     for psi, t in _PSI:
         if n < psi:
-            return not any(_mr_composite_witness(n, a) for a in _BASES[:t])
+            return all(sqrt1_chain(a, n - 1, n) == 1 for a in _BASES[:t])
     rng = random.Random(n)
-    return not any(_mr_composite_witness(n, rng.randrange(2, n - 1)) for _ in range(64))
+    return all(sqrt1_chain(rng.randrange(2, n - 1), n - 1, n) == 1 for _ in range(64))
 
 
 # --- records -----------------------------------------------------------

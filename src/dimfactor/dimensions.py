@@ -2,7 +2,9 @@
 newform dimensions.
 
 Every count is :func:`~dimfactor.multfuncs.twelve_combination`, the
-closed form scaled by 12, at four multiplicative values (see there).
+closed form scaled by 12, at four multiplicative values (see there); the
+newform count is :func:`~dimfactor.multfuncs.twelve_newform`, the same
+form plus delta2 * mu.
 ``dim_G`` and ``dim_H`` take a bare integer level because they are
 computable from residues alone, and return exact Fractions; ``dim_A``,
 ``dim_B`` and ``dim_delta`` take a :class:`Factorization` because they
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 from .arith import Factorization, FrozenRecord, factor_trial, kronecker_m3, kronecker_m4
 from .errors import InternalInconsistencyError
-from .multfuncs import local_product, sharp_local, star_local, twelve_combination
+from .multfuncs import local_product, sharp_local, star_local, twelve_combination, twelve_newform
 
 _LEVEL_ONE = Factorization(())
 
@@ -109,10 +111,7 @@ def dim_B(k: int, f: Factorization) -> int:
     :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
     The result must be a nonnegative integer.
     """
-    x, w, y, z, mu = local_product(sharp_local, f)
-    twelve = twelve_combination(k, x, w, y, z)
-    if k == 2:
-        twelve += 12 * mu
+    twelve = twelve_newform(k, *local_product(sharp_local, f))
     return _count(twelve, "newform dimension B", k, f)
 
 

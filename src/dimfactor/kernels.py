@@ -11,8 +11,10 @@ window lo..hi and yields the result block by block, so a sweep holds one
 block at a time.  It allocates its buffers once per window and refills
 them for each block: a block's arrays are views of those buffers, valid
 until the next block is drawn.  :func:`_fill` copies each block into
-whole tables, and the sweeps compare each block, turning its rows into
-the gap rows in place (:func:`minus_G_rows`), before they draw the next.
+whole tables, and the sweeps compare each block before they draw the
+next, turning its first four rows into the gap rows in place
+(:func:`minus_G_rows`, which reads both Kronecker symbols of consecutive
+levels as a view of one cached 12-periodic tile of ``arith.KRON12``).
 Its strides are the multiples of p^min_e for each prime
 p <= sqrt(hi), less p itself.  The same sieve in pure Python
 (:func:`_small_sieve`, through :func:`small_star_block` and
@@ -37,10 +39,11 @@ already pays the pure-Python cost on those windows too.
 tables from the same blocks, and :func:`dimension_tables` combines them
 per weight.  No sweep reads whole tables: the sweeps stream their window,
 and the tables serve only as the tests' references and the benchmark's
-span targets.  G, A and B are each
+span targets.  G and A are
 :func:`~dimfactor.multfuncs.twelve_combination`, the one closed form the
 exact path evaluates too, applied to arrays: G at (N, 1, (-4|N), (-3|N)),
-A at the star rows, B at the sharp rows plus 12 * delta2 * mu.
+A at the star rows; B is :func:`~dimfactor.multfuncs.twelve_newform` at
+the sharp rows and mu.
 
 The exact-rational code paths elsewhere in the package do not depend on
 this module; cross-validation of the two lives in the test suite.
@@ -52,17 +55,27 @@ never pay for it.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import primes_below
+from .arith import KRON12, primes_below
 from .dimensions import level_one_newform_dim
-from .multfuncs import sharp_local, star_local, twelve_combination
+from .multfuncs import sharp_local, star_local, twelve_combination, twelve_newform
 
 if TYPE_CHECKING:
     import numpy as np
 
-_KRON12 = ((0, 1, 0, -1) * 3, (0, 1, -1) * 4)  # (-4|N) and (-3|N), indexed by N mod 12
+@lru_cache(maxsize=1)
+def _kron_tile(block: int) -> np.ndarray:
+    """``arith.KRON12`` repeated: (-4|N) and (-3|N) for N = 0, 1, ..., at
+    least block + 11, as two int8 rows.  :func:`minus_G_rows` reads a block
+    of consecutive levels a, a+1, ... as the view ``tile[:, a % 12 :]``,
+    :func:`_kron` any levels off the first 12 columns."""
+    import numpy as np
+
+    tile = np.tile(np.array(KRON12, np.int8), block // 12 + 2)
+    tile.flags.writeable = False  # every caller shares it
+    return tile
 
 
 def _kron(levels: np.ndarray) -> np.ndarray:
@@ -70,18 +83,7 @@ def _kron(levels: np.ndarray) -> np.ndarray:
     holds both while the combination runs."""
     import numpy as np
 
-    return np.take(np.array(_KRON12, np.int8), levels % 12, axis=1)
-
-
-def kron_tile() -> np.ndarray:
-    """(-4|N) and (-3|N) for N = 0, 1, ..., at least SIEVE_BLOCK + 11, as
-    two int8 rows.  Both are 12-periodic, so :func:`minus_G_rows` reads
-    them at a block of consecutive levels a, a+1, ... as the view
-    ``tile[:, a % 12 :]``, with no remainder taken; one tile serves a
-    whole sweep."""
-    import numpy as np
-
-    return np.tile(np.array(_KRON12, np.int8), SIEVE_BLOCK // 12 + 2)
+    return np.take(_kron_tile(SIEVE_BLOCK)[:, :12], levels % 12, axis=1)
 
 
 # --- the sieve -----------------------------------------------------------
@@ -211,7 +213,7 @@ def _small_sieve(lo: int, hi: int, local, min_e: int, rest):
 def _small_sharp_rest(acc, q, levels):
     """:func:`_sharp_rest` on lists."""
     big = [r > 1 for r in q]
-    k4, k3 = _KRON12
+    k4, k3 = KRON12
     x, w, y, z, mu = acc
     acc[0] = [v * (r - b) for v, r, b in zip(x, q, big)]
     acc[1] = [v * (not b) for v, b in zip(w, big)]
@@ -223,7 +225,7 @@ def _small_sharp_rest(acc, q, levels):
 
 def _small_star_rest(acc, m, levels):
     """:func:`_star_rest` on lists."""
-    k4, k3 = _KRON12
+    k4, k3 = KRON12
     acc[0] = [v * r for v, r in zip(acc[0], m)]
     acc[2] = [v * k4[r % 12] for v, r in zip(acc[2], m)]
     acc[3] = [v * k3[r % 12] for v, r in zip(acc[3], m)]
@@ -244,7 +246,7 @@ def small_star_block(lo: int, hi: int):
 
 def small_minus_G_rows(levels, rows) -> tuple[list, ...]:
     """:func:`minus_G_rows` on lists, as four new lists."""
-    k4, k3 = _KRON12
+    k4, k3 = KRON12
     return (
         [n - v for n, v in zip(levels, rows[0])],
         [1 - v for v in rows[1]],
@@ -350,17 +352,17 @@ def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
     return twelve_combination(k, levels, 1, *_kron(levels))
 
 
-def minus_G_rows(levels: np.ndarray, rows: np.ndarray, tile: np.ndarray) -> np.ndarray:
+def minus_G_rows(levels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Overwrite the first four ``rows`` with (N, 1, (-4|N), (-3|N)) minus
-    them at each level N, for consecutive levels, and return those four.
-    twelve_combination is linear, so at any weight it maps these to 12 * G
-    minus the closed form at the rows: the Kronecker rows are read once
-    for every weight, off ``tile`` from :func:`kron_tile`.  Row 4 is left
-    as it is."""
+    them at each level N, for consecutive levels (at most SIEVE_BLOCK),
+    and return those four.  twelve_combination is linear, so at any
+    weight it maps these to 12 * G minus the closed form at the rows: the
+    Kronecker rows are read once for every weight, as a view of the
+    cached tile (:func:`_kron_tile`).  Row 4 is left as it is."""
     import numpy as np
 
     i = int(levels[0]) % 12
-    k4, k3 = tile[:, i : i + len(levels)]
+    k4, k3 = _kron_tile(SIEVE_BLOCK)[:, i : i + len(levels)]
     np.subtract(levels, rows[0], out=rows[0])
     np.subtract(1, rows[1], out=rows[1])
     np.subtract(k4, rows[2], out=rows[2])
@@ -381,10 +383,10 @@ class DimensionTables:
 def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     """All four dimension quantities (times 12) at weight k from star
     tables over 0..limit and their sharp tables: A is the closed form at
-    the star rows, B the closed form at the sharp rows plus 12 * delta2 *
-    mu (0 at level 0, where every row reads 0).  Index 1 of A12/B12
-    carries the level-one dimension so the divisor-sum identity holds
-    across the whole range.
+    the star rows, B ``twelve_newform`` at the sharp rows and mu (0 at
+    level 0, where every row reads 0).  Index 1 of A12/B12 carries the
+    level-one dimension so the divisor-sum identity holds across the
+    whole range.
     """
     import numpy as np
 
@@ -395,9 +397,7 @@ def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     G12 = twelve_G(k, np.arange(limit + 1, dtype=np.int64))
     A12 = twelve_combination(k, tables.ns0, tables.nu_inf, tables.nu2, tables.nu3)
     A12[1] = b1_12
-    B12 = twelve_combination(k, sharp.x, sharp.w, sharp.y, sharp.z)
-    if k == 2:
-        B12 += 12 * sharp.mu
+    B12 = twelve_newform(k, sharp.x, sharp.w, sharp.y, sharp.z, sharp.mu)
     H12 = G12 - b1_12
     G12[0] = A12[0] = H12[0] = 0
     return DimensionTables(k=k, limit=limit, G12=G12, A12=A12, B12=B12, H12=H12)

@@ -8,7 +8,8 @@ Both families are defined once, by their local factors at a prime power
 :func:`local_product` alone multiplies them over a factorization, and the
 sieve kernels multiply them over a range.  Every dimension formula of the
 package is :func:`twelve_combination` of four such values, scaled by 12
-to stay in integers.  The functions of N take a
+to stay in integers; the newform count adds delta2 * mu to it, in
+:func:`twelve_newform` alone.  The functions of N take a
 :class:`~dimfactor.arith.Factorization`, never a bare integer: they are
 only computable with the factorization in hand, and the signature keeps
 that dependency explicit.
@@ -26,7 +27,8 @@ def twelve_combination(k: int, x, w, y, z):
     every dimension count of the package takes, as an integer:
 
     * A(k, N) at the starred values (N * s0*, nu_inf*, nu2*, nu3*);
-    * B(k, N) at the sharp values, plus delta2 * mu(N);
+    * B(k, N) at the sharp values, plus delta2 * mu(N)
+      (:func:`twelve_newform`);
     * G(k, N) at (N, 1, (-4|N), (-3|N)), the starred values of a
       squarefree N, which is why G = A exactly on squarefree levels.
 
@@ -34,6 +36,14 @@ def twelve_combination(k: int, x, w, y, z):
     """
     t2, t3 = twelve_weight_coefficients(k)
     return (k - 1) * x - 6 * w + t2 * y + t3 * z
+
+
+def twelve_newform(k: int, x, w, y, z, mu):
+    """12 * B(k, N) from the sharp values and mu(N): :func:`twelve_combination`
+    plus 12 * delta2 * mu, delta2 = [k == 2].  Linear in its five values;
+    works on Python ints and on integer arrays alike."""
+    twelve = twelve_combination(k, x, w, y, z)
+    return twelve + 12 * mu if k == 2 else twelve
 
 
 def star_local(p: int, e: int) -> tuple[int, int, int, int, int]:

@@ -12,7 +12,8 @@ N = E * L, dividing the starred values of each peeled prime power out of
 the invariants; the three-value reduction then tries only the sharp
 triples possible for that split and for E's residues mod 4 and mod 3 (at
 most 20 when E < 2^48) and gates each candidate totient m of E with
-the base-2 chain of m modulo E's odd part, which accepts exactly when
+the base-2 chain of m modulo E's odd part (``arith.sqrt1_chain``, the
+chain Miller-Rabin walks along n - 1), which accepts exactly when
 2^m = 1 there.  A wrong guess costs that one modular exponentiation; on
 the true guess the chain is the first split round of the totient-multiple
 factorizer.  Both read those values of prime powers they found as
@@ -35,10 +36,11 @@ from .arith import (
     kronecker_m3,
     kronecker_m4,
     primes_below,
+    sqrt1_chain,
 )
 from .dimensions import twelve_G
 from .errors import FactoringFailureError, InconsistentInputsError
-from .multfuncs import local_product, sharp_local, star_local, twelve_combination
+from .multfuncs import local_product, sharp_local, star_local, twelve_combination, twelve_newform
 
 # Most random bases _sqrt1_split tries on one composite before it gives
 # up.  Against a true totient multiple each base splits with probability
@@ -125,27 +127,6 @@ def _exact_power_base(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _sqrt1_chain(a: int, m: int, c: int) -> int | None:
-    """a**m mod odd c > 1 along the 2-power chain of m: None when
-    a**m != 1 (mod c), else a factor of c, 1 unless the chain met a
-    nontrivial square root of 1.
-
-    With m = 2^s t, t odd, x = a^t mod c is squared at most s times.
-    When x**2 = 1 with x != +-1, c divides (x - 1)(x + 1) but neither
-    factor, so 1 < gcd(x - 1, c) < c splits c and proves it composite.
-    """
-    s = (m & -m).bit_length() - 1
-    x = pow(a, m >> s, c)
-    if x == 1:
-        return 1
-    for _ in range(s):
-        y = x * x % c
-        if y == 1:
-            return 1 if x == c - 1 else math.gcd(x - 1, c)
-        x = y
-    return None
-
-
 def _sqrt1_split(c: int, m: int, rng: random.Random) -> int:
     """A nontrivial proper factor of odd composite non-prime-power c,
     found through a nontrivial square root of 1 along the 2-power chain
@@ -159,7 +140,7 @@ def _sqrt1_split(c: int, m: int, rng: random.Random) -> int:
         g = math.gcd(a, c)
         if 1 < g:
             return g  # free split; g < c since a < c
-        g = _sqrt1_chain(a, m, c)
+        g = sqrt1_chain(a, m, c)
         if g is None:
             raise FactoringFailureError(
                 f"{m} is not a multiple of phi({c}): witness base {a}"
@@ -452,7 +433,7 @@ def full_factor_three_values(
     vanishes as soon as E > 1).  A candidate m goes on to the
     totient-multiple factorizer (Miller's split of E from a multiple of
     phi(E)) only if 2**m = 1 modulo the odd part of E, which the true
-    phi(E) always satisfies.  That check is :func:`_sqrt1_chain` at base
+    phi(E) always satisfies.  That check is ``arith.sqrt1_chain`` at base
     2, so a wrong guess costs one modular exponentiation, and on a passing
     guess the chain is the factorizer's first split round: where it meets
     a nontrivial square root of 1, its gcd splits the odd part, which then
@@ -476,8 +457,8 @@ def full_factor_three_values(
     for nu2, nu3, mu in _sharp_guesses(split, l_sharp):
         # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
         # nu_inf# term vanishes since E > 1
-        rest = twelve_combination(k, 0, 0, nu2, nu3)
-        n_sharp, r = divmod(12 * b_value - rest - (12 * mu if k == 2 else 0), k - 1)
+        rest = twelve_newform(k, 0, 0, nu2, nu3, mu)
+        n_sharp, r = divmod(12 * b_value - rest, k - 1)
         if r or n_sharp <= 0:
             continue
         cand, r = divmod(n_sharp, l_sharp[0])  # candidate phi(E)
@@ -489,7 +470,7 @@ def full_factor_three_values(
             continue
         tried.add(cand)
         # phi(e_odd) divides the true candidate phi(E), so it passes
-        g = _sqrt1_chain(2, cand, e_odd) if e_odd > 1 else 1
+        g = sqrt1_chain(2, cand, e_odd) if e_odd > 1 else 1
         if g is None:
             continue
         # g, e_odd // g and E's power of 2 multiply to E, which is coprime

@@ -8,8 +8,10 @@ sieves the window alone and compares each block as soon as it is sieved,
 keeping only counters, violations and catalogued pairs; no sweep reads
 whole tables.  A window of at most SMALL_WINDOW = 2^15 levels is sieved
 and compared in pure Python as one block, so a sweep that narrow never
-imports numpy; a wider one runs in numpy.  Both modes and both forms run
-one comparison: the gap's sign must be 0 where the characterization
+imports numpy; a wider one runs in numpy.  A block's rows become the gap
+rows, so ``twelve_combination`` (``twelve_newform`` with -mu as a fifth
+row) gives its gap at each weight.  Both modes and both forms run one
+comparison: the gap's sign must be 0 where the characterization
 holds, +1 elsewhere, and at each pair of the detectors' catalogue
 (``SQUAREFREE_EXCEPTIONS`` or ``PRIMALITY_EXCEPTIONS``) the sign
 catalogued there.  Violations must be empty; the catalogued pairs in
@@ -19,13 +21,11 @@ range are reported separately.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
 
 from .arith import MAX_SWEEP_HI, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
-    kron_tile,
     minus_G_rows,
     sharp_blocks,
     small_minus_G_rows,
@@ -33,7 +33,7 @@ from .kernels import (
     small_star_block,
     star_blocks,
 )
-from .multfuncs import twelve_combination
+from .multfuncs import twelve_combination, twelve_newform
 
 SQUAREFREE_MODE = "squarefree"
 PRIME_MODE = "prime"
@@ -54,12 +54,10 @@ class SweepReport:
     for each violation, and the catalogued exception pairs seen in range,
     behaving as catalogued.  ``vars(report)`` holds every field."""
 
-    def __init__(self, mode: str, lo: int, hi: int, ks: tuple[int, ...], checked: int,
-                 violations: list[tuple[int, int, int, int]] | None = None,
-                 exceptions_observed: list[tuple[int, int]] | None = None):
-        self.mode, self.lo, self.hi, self.ks, self.checked = mode, lo, hi, ks, checked
-        self.violations = [] if violations is None else violations
-        self.exceptions_observed = [] if exceptions_observed is None else exceptions_observed
+    def __init__(self, mode: str, lo: int, hi: int, ks: tuple[int, ...]):
+        self.mode, self.lo, self.hi, self.ks, self.checked = mode, lo, hi, ks, 0
+        self.violations: list[tuple[int, int, int, int]] = []
+        self.exceptions_observed: list[tuple[int, int]] = []
 
     @property
     def ok(self) -> bool:
@@ -127,21 +125,20 @@ def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
     return report
 
 
-def _g_minus_a(tile, levels, rows):
+def _g_minus_a(levels, rows):
     """12 (G - A) at any weight, over one star block, whose rows become
-    the gap rows; ``tile`` is :func:`~dimfactor.kernels.kron_tile`."""
-    gaps = minus_G_rows(levels, rows, tile)
+    the gap rows."""
+    gaps = minus_G_rows(levels, rows)
     return lambda k: twelve_combination(k, *gaps)
 
 
-def _h_minus_b(tile, levels, rows):
-    """12 (H - B) at any weight, over one sharp block: G less the closed
-    form at the sharp rows, less the level-one count and delta2 * mu.
-    The block's first four rows become the gap rows."""
-    gaps = minus_G_rows(levels, rows, tile)
-    return lambda k: twelve_combination(k, *gaps) - 12 * (
-        level_one_newform_dim(k) + (rows[4] if k == 2 else 0)
-    )
+def _h_minus_b(levels, rows):
+    """12 (H - B) at any weight, over one sharp block: the closed form of
+    B at the gap rows and -mu, less the level-one count.  The block's
+    rows become those five rows."""
+    minus_G_rows(levels, rows)
+    rows[4] *= -1
+    return lambda k: twelve_newform(k, *rows) - 12 * level_one_newform_dim(k)
 
 
 def _small_g_minus_a(levels, rows):
@@ -152,11 +149,11 @@ def _small_g_minus_a(levels, rows):
 
 def _small_h_minus_b(levels, rows):
     """:func:`_h_minus_b` over a block of lists."""
-    gaps = small_minus_G_rows(levels, rows)
+    gaps = (*small_minus_G_rows(levels, rows), [-m for m in rows[4]])
 
     def at(k):
-        b1, mu = 12 * level_one_newform_dim(k), rows[4] if k == 2 else repeat(0)
-        return [c - b1 - 12 * m for c, m in zip(map(partial(twelve_combination, k), *gaps), mu)]
+        b1 = 12 * level_one_newform_dim(k)
+        return [v - b1 for v in map(partial(twelve_newform, k), *gaps)]
 
     return at
 
@@ -172,8 +169,8 @@ def trichotomy_sweep(lo: int, hi: int, ks) -> SweepReport:
     if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_star_block(lo, hi)], _small_g_minus_a
     else:
-        blocks, gap = star_blocks(lo, hi), partial(_g_minus_a, kron_tile())
-    report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks, checked=0)
+        blocks, gap = star_blocks(lo, hi), _g_minus_a
+    report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks)
     return _compare(report, blocks, gap, SQUAREFREE_EXCEPTIONS)
 
 
@@ -187,7 +184,7 @@ def primality_sweep(lo: int, hi: int, ks) -> SweepReport:
     if hi - lo + 1 <= SMALL_WINDOW:
         blocks, gap = [small_sharp_block(lo, hi)], _small_h_minus_b
     else:
-        blocks, gap = sharp_blocks(lo, hi), partial(_h_minus_b, kron_tile())
-    report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks, checked=0)
+        blocks, gap = sharp_blocks(lo, hi), _h_minus_b
+    report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks)
     return _compare(report, blocks, gap, PRIMALITY_EXCEPTIONS)
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from dimfactor.arith import (
     Factorization,
-    _mr_composite_witness,
     euler_phi,
     factor_trial,
     is_probable_prime,
     kronecker_m3,
     kronecker_m4,
+    sqrt1_chain,
     twelve_weight_coefficients,
 )
 from dimfactor.dimensions import level_one_newform_dim
@@ -99,6 +99,23 @@ def test_probable_prime_small_range_vs_sieve():
 
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    # the definition, for odd n > 2: with n - 1 = 2^s d, d odd, either
+    # a^d = 1 or a^(2^r d) = -1 (mod n) for some 0 <= r < s
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
 # psi_t, the least strong pseudoprime to the first t prime bases, by its
 # prime factors (Jaeschke 1993; Sorenson-Webster 2017 for t = 12, 13)
 _PSI_FACTORS = {
@@ -123,7 +140,7 @@ def test_probable_prime_rejects_every_psi(t):
     factors = _PSI_FACTORS[t]
     psi = math.prod(factors)
     # psi_t fools the first t bases, so only a graded base set catches it
-    assert not any(_mr_composite_witness(psi, a) for a in _FIRST_PRIMES[:t])
+    assert all(_strong_probable_prime(psi, a) for a in _FIRST_PRIMES[:t])
     assert not is_probable_prime(psi)
     assert all(is_probable_prime(p) for p in factors)
 
@@ -137,9 +154,26 @@ def test_first_t_bases_agree_with_all_thirteen_below_psi(t):
     for n in sample:
         if any(n % p == 0 for p in _FIRST_PRIMES):
             continue
-        first_t = not any(_mr_composite_witness(n, a) for a in _FIRST_PRIMES[:t])
-        all_13 = not any(_mr_composite_witness(n, a) for a in _FIRST_PRIMES)
+        first_t = all(_strong_probable_prime(n, a) for a in _FIRST_PRIMES[:t])
+        all_13 = all(_strong_probable_prime(n, a) for a in _FIRST_PRIMES)
         assert first_t == all_13 == is_probable_prime(n), n
+
+
+def test_chain_at_n_minus_1_is_the_strong_test():
+    # the chain that is_probable_prime walks returns 1 at m = n - 1 exactly
+    # for a strong probable prime n to base a: on seeded odd n of 7 to 130
+    # bits, on every psi_t and on Carmichael numbers, at the first thirteen
+    # prime bases and at random ones
+    r = random.Random(2026_10_20)
+    ns = [r.getrandbits(bits) | 1 << (bits - 1) | 1 for bits in range(7, 131) for _ in range(20)]
+    ns += [math.prod(f) for f in _PSI_FACTORS.values()] + [561, 1105, 1729, 2465]
+    passes = 0
+    for n in ns:
+        for a in _FIRST_PRIMES + tuple(r.randrange(2, n - 1) for _ in range(4)):
+            want = _strong_probable_prime(n, a)
+            assert (sqrt1_chain(a, n - 1, n) == 1) == want, (n, a)
+            passes += want
+    assert passes > 1000, passes
 
 
 def _lucas_lehmer(p):

@@ -153,7 +153,7 @@ def test_base2_chain_is_the_fermat_check():
         phi = euler_phi(f)
         lam = math.lcm(*((p - 1) * p ** (k - 1) for p, k in f))
         for m in (2 * r.randrange(e) + 1, 2 * r.randrange(1, e), phi, phi * r.randrange(1, 64), phi >> 1, lam):
-            g = reductions._sqrt1_chain(2, m, e)
+            g = arith.sqrt1_chain(2, m, e)
             assert (g is not None) == (pow(2, m, e) == 1), (e, m)
             if g is not None and g > 1:
                 assert 1 < g < e and e % g == 0 and len(f) > 1, (e, m, g)
@@ -636,15 +636,17 @@ def test_three_value_reduction_on_seeded_levels_below_2_48():
 def test_each_prime_is_tested_once_per_reduction(monkeypatch):
     # one truthful reduction runs one round of Miller-Rabin bases on each
     # number it tests: the certified primes are not tested again when the
-    # factorizations of E, of L and of N are built from them
+    # factorizations of E, of L and of N are built from them.  Only
+    # is_probable_prime reads the chain through arith; the reductions' own
+    # chains (the Fermat gate, the split rounds) hold their own binding
     rounds = Counter()
-    witness = arith._mr_composite_witness
+    chain = arith.sqrt1_chain
 
-    def counting(n, a):
-        rounds[n] += a == 2  # every round below psi_13 starts at base 2
-        return witness(n, a)
+    def counting(a, m, c):
+        rounds[c] += a == 2 and m == c - 1  # every round below psi_13 starts at base 2
+        return chain(a, m, c)
 
-    monkeypatch.setattr(arith, "_mr_composite_witness", counting)
+    monkeypatch.setattr(arith, "sqrt1_chain", counting)
     for i, (f, a1, a2, b) in enumerate(_mixed_cases()[:200]):
         n = f.value()
         is_probable_prime.cache_clear()  # building f and its values warmed it
