@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "arith": (
-        "Factorization", "euler_phi", "factor_trial", "is_probable_prime",
-        "kronecker_m3", "kronecker_m4",
+        "Factorization", "factor_trial", "is_probable_prime", "kronecker_m3",
+        "kronecker_m4",
     ),
     "bounds": (
         "INTERVAL", "NO_LARGE_SQUARE_DIVISOR", "BoundsReport", "compute_T",

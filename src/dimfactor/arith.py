@@ -233,24 +233,10 @@ class Factorization(FrozenRecord):
     def is_squarefull(self) -> bool:
         return all(e >= 2 for _, e in self.factors)
 
-    def mobius(self) -> int:
-        """Mobius function of the represented integer."""
-        if not self.is_squarefree():
-            return 0
-        return -1 if len(self.factors) % 2 else 1
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         return "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors)
-
-
-def euler_phi(f: Factorization) -> int:
-    """Euler totient from a factorization."""
-    phi = 1
-    for p, e in f:
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 # --- ground-truth factorizer -------------------------------------------

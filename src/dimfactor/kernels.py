@@ -35,11 +35,11 @@ already pays the pure-Python cost on those windows too.
   of p^2 alone and the squarefree rest; the levels no stride touches are
   the squarefree ones.
 
-:func:`build_sharp_tables` and :func:`build_star_tables` fill whole
-tables from the same blocks, and :func:`dimension_tables` combines them
-per weight.  No sweep reads whole tables: the sweeps stream their window,
-and the tables serve only as the tests' references and the benchmark's
-span targets.  G and A are
+:func:`build_star_tables` fills whole star tables from the star blocks,
+and :func:`dimension_tables` combines them, per weight, with the sharp
+rows it fills itself over the same levels.  No sweep reads whole tables:
+the sweeps stream their window, and the tables serve only as the tests'
+references and the benchmark's span targets.  G and A are
 :func:`~dimfactor.multfuncs.twelve_combination`, the one closed form the
 exact path evaluates too, applied to arrays: G at (N, 1, (-4|N), (-3|N)),
 A at the star rows; B is :func:`~dimfactor.multfuncs.twelve_newform` at
@@ -55,7 +55,7 @@ never pay for it.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .arith import KRON12, primes_below
@@ -79,8 +79,8 @@ def _kron_tile(block: int) -> np.ndarray:
 
 
 def _kron(levels: np.ndarray) -> np.ndarray:
-    """(-4|N) and (-3|N) for an array of levels, as two int8 rows: twelve_G
-    holds both while the combination runs."""
+    """(-4|N) and (-3|N) for an array of levels, as two int8 rows:
+    :func:`dimension_tables` holds both while it combines G."""
     import numpy as np
 
     return np.take(_kron_tile(SIEVE_BLOCK)[:, :12], levels % 12, axis=1)
@@ -287,38 +287,16 @@ def _fill(lo: int, hi: int, blocks):
     return (*rows, mask)
 
 
-class SharpTables:
-    """Sharp sieve output over levels lo..hi (index i is level lo + i):
-    the integer N*s0#(N), the three other sharp values, the Mobius
-    function, and whether each level is prime."""
-
-    def __init__(self, lo: int, hi: int, x: np.ndarray, w: np.ndarray, y: np.ndarray,
-                 z: np.ndarray, mu: np.ndarray, prime: np.ndarray):
-        self.lo, self.hi = lo, hi
-        self.x, self.w, self.y, self.z, self.mu, self.prime = x, w, y, z, mu, prime
-
-
-def build_sharp_tables(lo: int, hi: int) -> SharpTables:
-    """Sieve the sharp functions over levels lo..hi, in blocks, without
-    touching any level below lo."""
-    return SharpTables(lo, hi, *_fill(lo, hi, sharp_blocks(lo, hi)))
-
-
 class StarTables:
     """Star sieve output over levels lo..hi (index i is level lo + i):
     the integer N*s0*(N), the three other starred values, and whether each
-    level is squarefree.  ``sharp`` holds the sharp tables over the same
-    levels, sieved on first use; the signed Mobius function is there."""
+    level is squarefree."""
 
     def __init__(self, lo: int, hi: int, ns0: np.ndarray, nu_inf: np.ndarray,
                  nu2: np.ndarray, nu3: np.ndarray, squarefree: np.ndarray):
         self.lo, self.hi = lo, hi
         self.ns0, self.nu_inf, self.nu2, self.nu3 = ns0, nu_inf, nu2, nu3
         self.squarefree = squarefree
-
-    @cached_property
-    def sharp(self) -> SharpTables:
-        return build_sharp_tables(self.lo, self.hi)
 
 
 def build_star_tables(lo: int, hi: int) -> StarTables:
@@ -344,12 +322,6 @@ def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
             continue
         out[d::d] += v * mu[1 : limit // d + 1]
     return out
-
-
-def twelve_G(k: int, levels: np.ndarray) -> np.ndarray:
-    """12 * G(k, N) for every level in ``levels``: the closed form at
-    (N, 1, (-4|N), (-3|N))."""
-    return twelve_combination(k, levels, 1, *_kron(levels))
 
 
 def minus_G_rows(levels: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -382,22 +354,25 @@ class DimensionTables:
 
 def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     """All four dimension quantities (times 12) at weight k from star
-    tables over 0..limit and their sharp tables: A is the closed form at
-    the star rows, B ``twelve_newform`` at the sharp rows and mu (0 at
-    level 0, where every row reads 0).  Index 1 of A12/B12 carries the
-    level-one dimension so the divisor-sum identity holds across the
-    whole range.
+    tables over 0..limit: G is the closed form at (N, 1, (-4|N), (-3|N)),
+    A the closed form at the star rows, and B ``twelve_newform`` at the
+    sharp rows and mu, filled here from :func:`sharp_blocks` over the same
+    levels (0 at level 0, where every row reads 0).  Index 1 of A12/B12
+    carries the level-one dimension so the divisor-sum identity holds
+    across the whole range.
     """
     import numpy as np
 
     b1_12 = 12 * level_one_newform_dim(k)  # checks the weight
     if tables.lo != 0 or tables.hi < 1:
         raise ValueError(f"dimension tables need levels 0..limit, got [{tables.lo}, {tables.hi}]")
-    limit, sharp = tables.hi, tables.sharp
-    G12 = twelve_G(k, np.arange(limit + 1, dtype=np.int64))
+    limit = tables.hi
+    levels = np.arange(limit + 1, dtype=np.int64)
+    G12 = twelve_combination(k, levels, 1, *_kron(levels))
     A12 = twelve_combination(k, tables.ns0, tables.nu_inf, tables.nu2, tables.nu3)
     A12[1] = b1_12
-    B12 = twelve_newform(k, sharp.x, sharp.w, sharp.y, sharp.z, sharp.mu)
+    x, w, y, z, mu, _ = _fill(0, limit, sharp_blocks(0, limit))
+    B12 = twelve_newform(k, x, w, y, z, mu)
     H12 = G12 - b1_12
     G12[0] = A12[0] = H12[0] = 0
     return DimensionTables(k=k, limit=limit, G12=G12, A12=A12, B12=B12, H12=H12)

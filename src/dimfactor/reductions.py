@@ -78,9 +78,6 @@ class SquarefullSplit(FrozenRecord):
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "L", L)
 
-    def n(self) -> int:
-        return self.E * self.L.value()
-
 
 # --- factoring d from a totient multiple --------------------------------
 

@@ -17,7 +17,7 @@ import pytest
 import dimfactor.arith as arith_mod
 import dimfactor.dimensions as dims_mod
 from dimfactor import kernels
-from dimfactor.arith import Factorization, euler_phi, factor_trial, is_probable_prime
+from dimfactor.arith import Factorization, factor_trial, is_probable_prime
 from dimfactor.bounds import INTERVAL, cubic_margin, square_divisor_bounds
 from dimfactor.detectors import (
     EXCEPTION,
@@ -39,6 +39,7 @@ from dimfactor.reductions import (
     full_factor_three_values,
 )
 from dimfactor.sweeps import primality_sweep, trichotomy_sweep
+from reference import euler_phi, sharp_tables
 
 SWEEP_LIMIT = 100_000
 CONTAINMENT_LIMIT = 1_000_000
@@ -95,7 +96,7 @@ def test_criterion_02_primality_trichotomy(tables_1e5):
         6: [],
         12: [],
     }
-    composite = ~tables_1e5.sharp.prime[2:]
+    composite = ~sharp_tables(0, SWEEP_LIMIT).prime[2:]
     for k in ks:
         dims = kernels.dimension_tables(k, tables_1e5)
         gap = dims.H12[2:] - dims.B12[2:]
@@ -306,7 +307,7 @@ def test_criterion_07_two_value_reduction(oracle):
         a2 = oracle.query_A(4, n).value
         split = factor_squarefull_two_values(n, 2, a1, 4, a2, rng)
         assert split.E == e_val and split.L.factors == l_pairs, n
-        assert split.n() == n
+        assert split.E * split.L.value() == n
         for p, _ in split.L:
             assert is_probable_prime(p)
         done += 1

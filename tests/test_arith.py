@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimfactor import arith
 from dimfactor.arith import (
     Factorization,
-    euler_phi,
     factor_trial,
     is_probable_prime,
     kronecker_m3,
@@ -19,6 +19,8 @@ from dimfactor.arith import (
 )
 from dimfactor.dimensions import level_one_newform_dim
 from dimfactor.errors import InvalidWeightError
+from dimfactor.multfuncs import local_product, sharp_local, star_local
+from reference import euler_phi
 
 
 @pytest.mark.parametrize("n,want", [(5, 1), (2, 0), (7, -1), (1, 1), (4, 0), (9, 1), (11, -1)])
@@ -227,14 +229,14 @@ def test_factorization_basics():
     assert f.value() == 12
     assert not f.is_squarefree()
     assert not f.is_squarefull()
-    assert f.mobius() == 0
+    assert local_product(star_local, f)[4] == 0
     assert str(f) == "2^2*3"
     one = Factorization(())
     assert one.value() == 1
     assert one.is_squarefree() and one.is_squarefull()
-    assert one.mobius() == 1
-    assert Factorization(((2, 1), (3, 1))).mobius() == 1
-    assert Factorization(((2, 1), (3, 1), (5, 1))).mobius() == -1
+    assert local_product(star_local, one)[4] == 1
+    assert local_product(star_local, Factorization(((2, 1), (3, 1))))[4] == 1
+    assert local_product(star_local, Factorization(((2, 1), (3, 1), (5, 1))))[4] == -1
 
 
 def test_factorizations_are_frozen_values():
@@ -250,10 +252,11 @@ def test_factorizations_are_frozen_values():
 
 
 def test_euler_phi():
-    assert euler_phi(Factorization(())) == 1
-    assert euler_phi(factor_trial(15)) == 8
-    assert euler_phi(factor_trial(700)) == 240
-    assert euler_phi(factor_trial(2**10)) == 512
+    for f, phi in [(Factorization(()), 1), (factor_trial(15), 8), (factor_trial(700), 240),
+                   (factor_trial(2**10), 512)]:
+        assert euler_phi(f) == phi
+        if f.is_squarefree():  # N*s0#(N) is the totient on squarefree N only
+            assert local_product(sharp_local, f)[0] == phi
 
 
 @pytest.mark.parametrize(
@@ -326,3 +329,15 @@ def test_factor_trial_rho_path(rng):
     for p, q in [(1000003, 1000033), (15485863, 32452843)]:
         f = factor_trial(p * q)
         assert f.factors == ((p, 1), (q, 1))
+
+
+def test_trial_division_that_ends_on_its_last_prime_calls_no_rho(monkeypatch):
+    # 1021, the last trial prime, uses up the whole cofactor: what is left
+    # for the rho step is 1, and it returns without calling rho
+    def no_rho(n, rng):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    assert arith._TRIAL_PRIMES[-1] == 1021
+    for n, want in [(1021**2, "1021^2"), (2 * 1021**2, "2*1021^2"), (1021**3, "1021^3")]:
+        assert str(factor_trial(n)) == want

@@ -41,6 +41,8 @@ def test_dim_usage_errors(capsys):
     assert code == 64
     code, _, _ = run_cli(capsys, "dim", "A", "2", "0")
     assert code == 64
+    code, out, err = run_cli(capsys, "dim", "delta", "2", "1")
+    assert code == 64 and out == "" and err == "error: delta needs N >= 2\n"
 
 
 def test_test_command(capsys):
@@ -75,9 +77,14 @@ def test_test_command(capsys):
         # 12-scaled gap 12, below the floor k - 15 = 13; two less clears it
         (["test", "squarefree", "28", "1000003", "2250005"], "NOT_SQUAREFREE", 1),
         (["test", "squarefree", "28", "1000003", "2250004"], "NOT_SQUAREFREE", 0),
+        # below the thresholds the comparison is known: G(4, 9) = 2 against
+        # the truthful A = 1, and H(2, 25) = 1 against the truthful B = 0
+        (["test", "squarefree", "4", "9", "2"], "NOT_SQUAREFREE", 1),
+        (["test", "prime", "2", "25", "1"], "COMPOSITE", 1),
     ],
     ids=["prime-impossible", "squarefree-impossible", "prime-truthful",
-         "squarefree-below-floor", "squarefree-above-floor"],
+         "squarefree-below-floor", "squarefree-above-floor", "squarefree-small-level",
+         "prime-small-level"],
 )
 def test_suspicious_verdicts_exit_failure(capsys, argv, conclusion, code, json_flag):
     # an oracle value no truthful oracle gives keeps its verdict on stdout,
@@ -226,6 +233,31 @@ def test_sweep_command(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["violations"] == []
     assert [2, 91] in payload["exceptions_observed"]
+
+
+def test_sweep_prints_its_violations(capsys, monkeypatch):
+    # a doctored catalogue: without the pair (2, 9) the sweep finds the
+    # equality there a violation; with 60 signs no level takes, the text
+    # shows the first 50 violations and the JSON lists them all
+    import dimfactor.sweeps as sweeps
+
+    doctored = dict(sweeps.SQUAREFREE_EXCEPTIONS)
+    del doctored[(2, 9)]
+    monkeypatch.setattr(sweeps, "SQUAREFREE_EXCEPTIONS", doctored)
+    code, out, _ = run_cli(capsys, "sweep", "2..100", "--k", "2")
+    assert code == 1
+    assert out.splitlines()[2:] == ["violation at (k=2, N=9): expected sign 1, got 0"]
+    monkeypatch.setattr(sweeps, "SQUAREFREE_EXCEPTIONS",
+                        doctored | {(2, n): -1 for n in range(10, 70)})
+    code, out, _ = run_cli(capsys, "sweep", "2..100", "--k", "2")
+    lines = [line for line in out.splitlines() if line.startswith("violation at")]
+    assert code == 1 and "61 violations" in out
+    code, out, _ = run_cli(capsys, "sweep", "2..100", "--k", "2", "--json")
+    violations = json.loads(out)["violations"]
+    assert code == 1
+    assert [v[:3] for v in violations] == [[2, 9, 1]] + [[2, n, -1] for n in range(10, 70)]
+    assert lines == [f"violation at (k={k}, N={n}): expected sign {want}, got {got}"
+                     for k, n, want, got in violations[:50]]
 
 
 def test_sweep_usage(capsys):

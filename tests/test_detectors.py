@@ -21,6 +21,7 @@ from dimfactor.detectors import (
 from dimfactor.dimensions import DefaultOracle, dim_A, dim_B
 from dimfactor.errors import InvalidWeightError
 from dimfactor.multfuncs import twelve_combination
+from reference import mobius
 
 _ORACLE = DefaultOracle()
 
@@ -83,6 +84,12 @@ def test_squarefree_suspicious_oracle():
     assert v.relation == G_LESS and v.suspicious
     clean = squarefree_test(100, 2, _a(2, 100))
     assert clean.suspicious is None
+    # below the threshold the comparison is known: G(4, 9) = 2 against the
+    # truthful A = 1 keeps the known verdict, flagged
+    assert _a(4, 9) == 1
+    v = squarefree_test(9, 4, 2)
+    assert (v.relation, v.conclusion) == (EQUAL, NOT_SQUAREFREE)
+    assert "contradicts the known comparison" in v.suspicious
 
 
 def test_squarefree_floor_flags_impossible_positive_gaps():
@@ -107,7 +114,7 @@ def test_no_truthful_squarefree_gap_is_below_the_floor(k, least):
     levels = np.arange(2, hi + 1, dtype=np.int64)
     t = kernels.build_star_tables(2, hi)
     a12 = twelve_combination(k, t.ns0, t.nu_inf, t.nu2, t.nu3)
-    gap = kernels.twelve_G(k, levels) - a12
+    gap = twelve_combination(k, levels, 1, *kernels._kron(levels)) - a12
     assert gap.min() == 0 and gap[gap > 0].min() == least >= k - 15
     for i in np.flatnonzero(gap == least)[:50].tolist():
         n, a = i + 2, int(a12[i]) // 12
@@ -132,6 +139,11 @@ def test_primality_examples():
 def test_primality_suspicious_oracle():
     v = primality_test(1000, 2, 10**9)
     assert v.relation == H_LESS and v.suspicious
+    # H(2, 25) = 1 against the truthful B = 0, below the threshold
+    assert _b(2, 25) == 0
+    v = primality_test(25, 2, 1)
+    assert (v.relation, v.conclusion) == (EQUAL, COMPOSITE)
+    assert "contradicts the known comparison" in v.suspicious
 
 
 # Every catalogued pair as the paper states it: detector, oracle kind,
@@ -204,7 +216,7 @@ def tables_1e5():
 def test_squarefree_soundness_sweep(tables_1e5):
     # full agreement with the ground-truth squarefree predicate
     limit, tables = tables_1e5.hi, tables_1e5
-    squarefree = {n: factor_trial(n).mobius() != 0 for n in range(2, limit + 1)}
+    squarefree = {n: mobius(factor_trial(n)) != 0 for n in range(2, limit + 1)}
     for k in (2, 4, 6, 8, 10, 12):
         dims = kernels.dimension_tables(k, tables)
         for n in range(2, limit + 1):

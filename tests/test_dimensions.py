@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dimfactor import dimensions
 from dimfactor.arith import (
     Factorization,
-    euler_phi,
     factor_trial,
     is_probable_prime,
     kronecker_m3,
@@ -38,6 +37,7 @@ from dimfactor.multfuncs import (
     sharp_local,
     twelve_combination,
 )
+from reference import euler_phi, mobius
 
 
 @pytest.mark.parametrize(
@@ -420,10 +420,10 @@ def test_sharp_reconstruction_on_squarefull_levels():
                 - Fraction(ws, 2)
                 + c2 * ys
                 + c3 * zs
-                + d2 * f.mobius()
+                + d2 * mobius(f)
             )
             assert dim_B(k, f) == want, (k, pairs)
-        assert local_product(sharp_local, f) == (xs, ws, ys, zs, f.mobius())
+        assert local_product(sharp_local, f) == (xs, ws, ys, zs, mobius(f))
 
 
 def test_sharp_s0_on_squarefull_edges():

@@ -12,6 +12,7 @@ from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.errors import InvalidWeightError
 from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
 from dimfactor.sweeps import MAX_SWEEP_HI, primality_sweep, trichotomy_sweep
+from reference import mobius, sharp_tables
 
 LIMIT = 20_000
 
@@ -19,6 +20,11 @@ LIMIT = 20_000
 @pytest.fixture(scope="module")
 def np_tables():
     return kernels.build_star_tables(0, LIMIT)
+
+
+@pytest.fixture(scope="module")
+def np_sharp():
+    return sharp_tables(0, LIMIT)
 
 
 def _sieve_primes(limit):
@@ -30,7 +36,7 @@ def _sieve_primes(limit):
     return [i for i, f in enumerate(flags) if f]
 
 
-def test_star_tables_match_exact_path(np_tables):
+def test_star_tables_match_exact_path(np_tables, np_sharp):
     t = np_tables
     for n in list(range(1, 2000)) + [4096, 9973, 19998]:
         f = factor_trial(n)
@@ -38,16 +44,16 @@ def test_star_tables_match_exact_path(np_tables):
         assert t.nu_inf[n] == nu_inf_star(f)
         assert t.nu2[n] == nu2_star(f)
         assert t.nu3[n] == nu3_star(f)
-        assert t.squarefree[n] == (f.mobius() != 0)
-        assert t.sharp.mu[n] == f.mobius()
+        assert t.squarefree[n] == (mobius(f) != 0)
+        assert np_sharp.mu[n] == mobius(f)
 
 
-def test_star_tables_match_definitions(np_tables, star_definitions):
+def test_star_tables_match_definitions(np_tables, np_sharp, star_definitions):
     for name in ("ns0", "nu_inf", "nu2", "nu3"):
         assert np.array_equal(getattr(np_tables, name), star_definitions[name]), name
     mu = star_definitions["mu"]
     assert np.array_equal(np_tables.squarefree, mu != 0)
-    assert np.array_equal(np_tables.sharp.mu, mu)
+    assert np.array_equal(np_sharp.mu, mu)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 12, 14, 16, 26])
@@ -61,10 +67,10 @@ def test_dimension_tables_match_exact_path(np_tables, k):
         assert Fraction(int(dims.H12[n]), 12) == dim_H(k, n)
 
 
-def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables, star_definitions):
+def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables, np_sharp, star_definitions):
     # the sharp sieve against the reference inversion, for every n <= LIMIT,
     # inverting with a mu the sieve did not make
-    t, sharp = np_tables, np_tables.sharp
+    t, sharp = np_tables, np_sharp
     mu = star_definitions["mu"]
     assert (sharp.lo, sharp.hi) == (0, LIMIT) and len(mu) == LIMIT + 1
     for star, got in ((t.ns0, sharp.x), (t.nu_inf, sharp.w), (t.nu2, sharp.y), (t.nu3, sharp.z)):
@@ -79,7 +85,7 @@ def test_sharp_tables_are_mobius_inverses_of_star_tables(np_tables, star_definit
     assert np.array_equal(sharp.prime, prime)
 
 
-_BUILDERS = (kernels.build_sharp_tables, kernels.build_star_tables)
+_BUILDERS = (sharp_tables, kernels.build_star_tables)
 
 
 def _rows(tables):
@@ -107,9 +113,9 @@ def test_sharp_windows_match_whole_range(monkeypatch, block):
 
 def test_sharp_tables_reject_bad_range():
     with pytest.raises(ValueError):
-        kernels.build_sharp_tables(5, 4)
+        sharp_tables(5, 4)
     with pytest.raises(ValueError):
-        kernels.build_sharp_tables(-1, 4)
+        sharp_tables(-1, 4)
 
 
 def test_build_rejects_bad_limit():
@@ -137,7 +143,7 @@ _REFERENCE = {
     trichotomy_sweep: (sweeps.SQUAREFREE_MODE, "SQUAREFREE_EXCEPTIONS",
                        lambda d: d.G12 - d.A12, lambda t: t.squarefree),
     primality_sweep: (sweeps.PRIME_MODE, "PRIMALITY_EXCEPTIONS",
-                      lambda d: d.H12 - d.B12, lambda t: t.sharp.prime),
+                      lambda d: d.H12 - d.B12, lambda t: sharp_tables(t.lo, t.hi).prime),
 }
 
 
@@ -148,9 +154,10 @@ def _reference_report(sweep, tables, lo, hi, ks):
     mode, name, gap, holds = _REFERENCE[sweep]
     catalogue = getattr(sweeps, name)
     violations, observed = [], []
+    held = holds(tables)[lo : hi + 1]
     for k in ks:
         got = np.sign(gap(kernels.dimension_tables(k, tables))[lo : hi + 1])
-        want = np.where(holds(tables)[lo : hi + 1], 0, 1)
+        want = np.where(held, 0, 1)
         for (kk, n), sign in catalogue.items():
             if kk == k and lo <= n <= hi:
                 want[n - lo] = sign

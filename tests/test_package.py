@@ -5,7 +5,7 @@ from dimfactor import arith, bounds, detectors, dimensions, errors, multfuncs, r
 
 # the public names the package exports, by the submodule that defines them
 PUBLIC = {
-    arith: "Factorization euler_phi factor_trial is_probable_prime kronecker_m3 kronecker_m4",
+    arith: "Factorization factor_trial is_probable_prime kronecker_m3 kronecker_m4",
     bounds: "INTERVAL NO_LARGE_SQUARE_DIVISOR BoundsReport compute_T cubic_positive curly_L "
             "square_divisor_bounds",
     detectors: "Verdict primality_test squarefree_test",
@@ -22,7 +22,7 @@ NAMES = {name for names in PUBLIC.values() for name in names.split()}
 
 
 def test_public_names_are_the_submodules_objects():
-    assert len(NAMES) == 44
+    assert len(NAMES) == 43
     assert sorted(dimfactor.__all__) == sorted(NAMES)
     for module, names in PUBLIC.items():
         for name in names.split():
