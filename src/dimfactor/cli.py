@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: dim, test, bounds, factor, sweep.  Results go to stdout
-(plain text or --json), diagnostics to stderr.  Exit codes: 0 for
-success or a determinate verdict, 1 for operational failures and for
-suspicious verdicts, 2 for an exception-case verdict, 64 for usage
-errors.  A verdict is suspicious when the oracle value is one no
-truthful oracle gives; it is still printed, with ``suspicious`` set in
-the JSON and a ``warning:`` line on stderr.  ``factor`` draws its random
-bases from ``random.Random(--seed)``.  An oracle value left off the
-command line is computed by the built-in oracle, within the rho step
-bound ``arith.RHO_STEPS``; past it the command exits 1 and asks for the
-value.
+(plain text, or JSON under the global --json), diagnostics to stderr.
+Exit codes: 0 for success or a determinate verdict, 1 for operational
+failures and for suspicious verdicts, 2 for an exception-case verdict,
+64 for usage errors, among them any weight or sweep request the
+library's own rules refuse.  A verdict is suspicious when the oracle
+value is one no truthful oracle gives; it is still printed, with
+``suspicious`` set in the JSON and a ``warning:`` line on stderr.
+``factor``, the one subcommand that takes --seed, draws its random bases
+from ``random.Random(--seed)``.  An oracle value left off the command
+line is computed by the built-in oracle, within the rho step bound
+``arith.RHO_STEPS``; past it the command exits 1 and asks for the value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 # reached through their module objects, which the package registers
 # lazily, so a request runs only the ones its subcommand calls.
 from . import bounds, detectors, reductions, sweeps
-from .arith import MAX_SWEEP_HI, factor_trial
+from .arith import MAX_SWEEP_HI, factor_trial, twelve_weight_coefficients
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
 from .errors import DimfactorError, DomainError, InvalidWeightError
 
@@ -71,8 +72,10 @@ def _int(s: str, expected: str) -> int:
 
 def _even_weight(s: str) -> int:
     k = _int(s, "weight must be a positive even integer")
-    if k < 2 or k % 2 != 0:
-        raise argparse.ArgumentTypeError(f"weight must be a positive even integer, got {k}")
+    try:
+        twelve_weight_coefficients(k)  # the one weight rule
+    except InvalidWeightError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return k
 
 
@@ -86,14 +89,11 @@ def _positive_int(s: str) -> int:
 def _parse_range(s: str) -> tuple[int, int]:
     lo, _, hi = s.partition("..")
     try:
-        lo_i, hi_i = int(lo), int(hi)  # hi is "" when there is no ".."
+        return int(lo), int(hi)  # hi is "" when there is no ".."
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"range must look like LO..HI with integers LO and HI, got {s!r}"
         ) from None
-    if lo_i < 2 or hi_i < lo_i:
-        raise argparse.ArgumentTypeError(f"bad range {s!r}")
-    return lo_i, hi_i
 
 
 def _parse_weights(s: str) -> tuple[int, ...]:
@@ -117,7 +117,6 @@ def _oracle_value(value, fetch) -> int:
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed for the factor reductions")
 
     parser = _Parser(prog="dimfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,6 +149,7 @@ def build_parser() -> _Parser:
     p_factor.add_argument("--a2", type=int, default=None, help="A(k2, N); fetched when omitted")
     p_factor.add_argument("--kb", type=_even_weight, default=2, help="weight for the B value (full mode)")
     p_factor.add_argument("--b", type=int, default=None, help="B(kb, N); fetched when omitted")
+    p_factor.add_argument("--seed", type=int, default=None, help="RNG seed for the factor reductions")
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help=f"range conformance sweep (HI <= {MAX_SWEEP_HI})"
@@ -270,12 +270,11 @@ def _cmd_factor(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lo, hi = args.range
+    sweep = sweeps.trichotomy_sweep if args.mode == "squarefree" else sweeps.primality_sweep
     try:
-        sweeps.check_sweep(lo, hi, args.k)
+        rep = sweep(lo, hi, args.k)  # refused before any block is sieved
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sweep = sweeps.trichotomy_sweep if args.mode == "squarefree" else sweeps.primality_sweep
-    rep = sweep(lo, hi, args.k)
     lines = [
         f"sweep {args.mode} {lo}..{hi} k={','.join(map(str, args.k))}: "
         f"checked {rep.checked} pairs, {len(rep.violations)} violations",

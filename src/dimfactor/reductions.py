@@ -7,20 +7,22 @@ of the squarefree part E once it is known, and trial division by primes
 the algorithms themselves discover.  In particular the ground-truth
 factorizer is never imported.
 
-The two-value reduction finds the squarefull part L of N and the split
-N = E * L, dividing the starred values of each peeled prime power out of
-the invariants; the three-value reduction then tries only the sharp
-triples possible for that split and for E's residues mod 4 and mod 3 (at
-most 20 when E < 2^48) and gates each candidate totient m of E with
-the base-2 chain of m modulo E's odd part (``arith.sqrt1_chain``, the
-chain Miller-Rabin walks along n - 1), which accepts exactly when
-2^m = 1 there.  A wrong guess costs that one modular exponentiation; on
-the true guess the chain is the first split round of the totient-multiple
-factorizer.  Both read those values of prime powers they found as
-:func:`~dimfactor.multfuncs.local_product` of the local factors, and both
-hold their rationals as reduced numerator/denominator pairs.  Their only
-randomness is the caller's ``random.Random``, and their one work bound is
-:data:`SPLIT_ROUNDS`.
+The two-value reduction reads the starred Kronecker pair from each value
+by one rule at every level N >= 2 (:func:`recover_nu23_star` says why
+the identity tests decide even below 38), finds the squarefull part L of
+N and the split N = E * L, dividing the starred values of each peeled
+prime power out of the invariants; the three-value reduction then tries
+only the sharp triples possible for that split and for E's residues mod
+4 and mod 3 (at most 20 when E < 2^48) and gates each candidate totient
+m of E with the base-2 chain of m modulo E's odd part
+(``arith.sqrt1_chain``, the chain Miller-Rabin walks along n - 1), which
+accepts exactly when 2^m = 1 there.  A wrong guess costs that one
+modular exponentiation; on the true guess the chain is the first split
+round of the totient-multiple factorizer.  Both read those values of
+prime powers they found as :func:`~dimfactor.multfuncs.local_product` of
+the local factors, and both hold their rationals as reduced
+numerator/denominator pairs.  Their only randomness is the caller's
+``random.Random``, and their one work bound is :data:`SPLIT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -46,19 +48,6 @@ from .multfuncs import local_product, sharp_local, star_local, twelve_combinatio
 # up.  Against a true totient multiple each base splits with probability
 # at least 1/2, so 128 failures in a row happen with probability 2^-128.
 SPLIT_ROUNDS = 128
-
-# Starred Kronecker pairs (nu2*, nu3*) for levels up to 37, where the
-# identity tests used for larger levels are not yet conclusive.
-_SMALL_NU23 = {
-    1: (1, 1), 2: (0, -1), 3: (-1, 0), 4: (-1, 0), 5: (1, -1), 6: (0, 0),
-    7: (-1, 1), 8: (0, 0), 9: (0, -1), 10: (0, 1), 11: (-1, -1), 12: (1, 0),
-    13: (1, 1), 14: (0, -1), 15: (-1, 0), 16: (0, 0), 17: (1, -1), 18: (0, 1),
-    19: (-1, 1), 20: (-1, 0), 21: (1, 0), 22: (0, 1), 23: (-1, -1), 24: (0, 0),
-    25: (0, 0), 26: (0, -1), 27: (0, 0), 28: (1, 0), 29: (1, -1), 30: (0, 0),
-    31: (-1, 1), 32: (0, 0), 33: (1, 0), 34: (0, 1), 35: (-1, -1), 36: (0, 0),
-    37: (1, 1),
-}
-
 
 class SquarefullSplit(FrozenRecord):
     """N = E * L with E squarefree, L squarefull and gcd(E, L) = 1.
@@ -201,18 +190,26 @@ def recover_nu23_star(N: int, k: int, a_value: int) -> tuple[int, int]:
     Uses only divisibility of N by 4, 8, 9 and 27, the squarefree
     characterization, and two exact identity tests on the known value:
     12 * a_value against the closed form at the starred values N would
-    have if N/9, or N/4, were squarefree.  Levels up to 37 come from a
-    lookup table.
+    have if N/9, or N/4, were squarefree.  The one rule holds from N = 2:
+    where neither 4 nor 9 divides N, G = A exactly when N is squarefree
+    (every such N < 10 is, and the characterization's exception pairs
+    (2, 4) and (2, 9) have 4 or 9 dividing N).  Where p^2 exactly divides
+    N and N/p^2 is not squarefree, the test for p could pass only if the
+    assumed starred values (x_h, w_h, y_h, z_h) and the true ones gave
+    (k-1)(x_h - x_t) = 6(w_h - w_t) - t2 dy - t3 dz (d: assumed less
+    true, (t2, t3) = ``twelve_weight_coefficients(k)``) with x_h > x_t;
+    below 38 only N = 36 has such a p, where the two sides differ by 3k
+    or 3k + 6 at p = 2 and by 8(k-1) - t3 at p = 3, never by 0.
     """
     if N < 1:
         raise ValueError(f"level must be positive, got {N}")
-    if N <= 37:
-        return _SMALL_NU23[N]
+    if N == 1:
+        return 1, 1
     a12 = 12 * a_value
     g_equals_a = twelve_G(k, N) == a12  # also checks the weight
     by4, by9 = N % 4 == 0, N % 9 == 0
     if not by4 and not by9:
-        # squarefree exactly when G = A here (N >= 38)
+        # squarefree exactly when G = A here
         return (kronecker_m4(N), kronecker_m3(N)) if g_equals_a else (0, 0)
     nu2 = nu3 = 0
     for p in (2, 3):
@@ -441,10 +438,6 @@ def full_factor_three_values(
     InconsistentInputsError, unless a guess still yields the certified
     factorization of N.
     """
-    if N < 1:
-        raise ValueError(f"level must be positive, got {N}")
-    if N == 1:
-        return Factorization(())
     split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng)
     if split.E == 1:
         return split.L

@@ -94,25 +94,33 @@ def _off_pattern(g, holds) -> set[int]:
     return set(np.flatnonzero((g < 0) | ((g > 0) == holds)).tolist())
 
 
-def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
-    """Compare sign(gap) block by block with what the characterization
-    predicts, for every weight of the report: 0 where the block's mask
-    holds (N squarefree, or prime), +1 elsewhere, and the catalogued sign
-    at each pair of ``catalogue`` in range.  ``gap(levels, rows)`` gives
-    the block's gap as a function of the weight; blocks and gaps are
-    numpy arrays or, from the pure-Python sieve, lists.  A numpy block
-    is a view of buffers the sieve refills, so each block is compared in
-    full before the next is drawn.  Violations are listed weight by
-    weight, each in level order."""
-    lo, hi = report.lo, report.hi
-    pairs = [(k, n, sign) for k in report.ks
+def _compare(mode: str, lo: int, hi: int, ks, small, wide, catalogue) -> SweepReport:
+    """The sweep of ``mode`` over [lo, hi] at the weights ks, refused by
+    :func:`check_sweep` before any block is sieved.  ``small`` and
+    ``wide`` are the mode's (sieve, gap) pairs in pure Python and in
+    numpy; a window of at most SMALL_WINDOW levels is one block of the
+    first, a wider one streams the blocks of the second.  Compares
+    sign(gap) block by block with what the characterization predicts,
+    for every weight: 0 where the block's mask holds (N squarefree, or
+    prime), +1 elsewhere, and the catalogued sign at each pair of
+    ``catalogue`` in range.  ``gap(levels, rows)`` gives the block's gap
+    as a function of the weight.  A numpy block is a view of buffers the
+    sieve refills, so each block is compared in full before the next is
+    drawn.  Violations are listed weight by weight, each in level order."""
+    ks = tuple(ks)
+    check_sweep(lo, hi, ks)
+    narrow = hi - lo + 1 <= SMALL_WINDOW
+    sieve, gap = small if narrow else wide
+    blocks = [sieve(lo, hi)] if narrow else sieve(lo, hi)
+    report = SweepReport(mode, lo, hi, ks)
+    pairs = [(k, n, sign) for k in ks
              for (kk, n), sign in catalogue.items() if kk == k and lo <= n <= hi]
     report.exceptions_observed = [(k, n) for k, n, _ in pairs]
-    found = {k: [] for k in report.ks}
+    found = {k: [] for k in ks}
     for levels, rows, holds in blocks:
         a, at = int(levels[0]), gap(levels, rows)
         end = a + len(levels)
-        for k in report.ks:
+        for k in ks:
             g = at(k)
             signs = {n - a: sign for kk, n, sign in pairs if kk == k and a <= n < end}
             for i in sorted(signs.keys() | _off_pattern(g, holds)):
@@ -121,7 +129,7 @@ def _compare(report: SweepReport, blocks, gap, catalogue) -> SweepReport:
                 if got != expected:
                     found[k].append((k, a + i, expected, got))
             report.checked += len(levels)
-    report.violations = [v for k in report.ks for v in found[k]]
+    report.violations = [v for k in ks for v in found[k]]
     return report
 
 
@@ -164,14 +172,8 @@ def trichotomy_sweep(lo: int, hi: int, ks) -> SweepReport:
     count is computed; the newform count plays no part here.  The window
     is sieved and compared block by block, in pure Python when it is at
     most SMALL_WINDOW levels wide."""
-    ks = tuple(ks)
-    check_sweep(lo, hi, ks)
-    if hi - lo + 1 <= SMALL_WINDOW:
-        blocks, gap = [small_star_block(lo, hi)], _small_g_minus_a
-    else:
-        blocks, gap = star_blocks(lo, hi), _g_minus_a
-    report = SweepReport(mode=SQUAREFREE_MODE, lo=lo, hi=hi, ks=ks)
-    return _compare(report, blocks, gap, SQUAREFREE_EXCEPTIONS)
+    return _compare(SQUAREFREE_MODE, lo, hi, ks, (small_star_block, _small_g_minus_a),
+                    (star_blocks, _g_minus_a), SQUAREFREE_EXCEPTIONS)
 
 
 def primality_sweep(lo: int, hi: int, ks) -> SweepReport:
@@ -179,12 +181,5 @@ def primality_sweep(lo: int, hi: int, ks) -> SweepReport:
     level in [lo, hi] and every weight in ks.  The window is sieved and
     compared block by block, in pure Python when it is at most
     SMALL_WINDOW levels wide."""
-    ks = tuple(ks)
-    check_sweep(lo, hi, ks)
-    if hi - lo + 1 <= SMALL_WINDOW:
-        blocks, gap = [small_sharp_block(lo, hi)], _small_h_minus_b
-    else:
-        blocks, gap = sharp_blocks(lo, hi), _h_minus_b
-    report = SweepReport(mode=PRIME_MODE, lo=lo, hi=hi, ks=ks)
-    return _compare(report, blocks, gap, PRIMALITY_EXCEPTIONS)
-
+    return _compare(PRIME_MODE, lo, hi, ks, (small_sharp_block, _small_h_minus_b),
+                    (sharp_blocks, _h_minus_b), PRIMALITY_EXCEPTIONS)

@@ -39,6 +39,9 @@ def test_dim_text_and_json(capsys):
 def test_dim_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "dim", "A", "3", "5")
     assert code == 64
+    code, out, err = run_cli(capsys, "dim", "A", "3", "10")
+    assert code == 64 and out == ""
+    assert err.splitlines()[-1] == "error: argument k: weight must be a positive even integer, got 3"
     code, _, _ = run_cli(capsys, "dim", "A", "2", "0")
     assert code == 64
     code, out, err = run_cli(capsys, "dim", "delta", "2", "1")
@@ -309,9 +312,14 @@ def test_sweep_cap(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("the sweep must be refused before any table is built")
 
-    monkeypatch.setattr(sweeps, "star_blocks", refuse)
-    monkeypatch.setattr(sweeps, "sharp_blocks", refuse)
+    for sieve in ("star_blocks", "sharp_blocks", "small_star_block", "small_sharp_block"):
+        monkeypatch.setattr(sweeps, sieve, refuse)
     for mode in ("squarefree", "prime"):
+        # check_sweep's range rule is the one the CLI states
+        for bad in ("9..3", "1..5"):
+            code, out, err = run_cli(capsys, "sweep", bad, "--mode", mode)
+            assert code == 64 and out == ""
+            assert err.splitlines() == [err.strip()] and err.startswith("error: bad range")
         code, out, err = run_cli(capsys, "sweep", f"2..{MAX_SWEEP_HI + 1}", "--mode", mode)
         assert code == 64 and out == ""
         assert err.startswith("error:") and str(MAX_SWEEP_HI) in err and len(err.splitlines()) == 1
@@ -326,6 +334,23 @@ def test_sweep_cap(capsys, monkeypatch):
     # weights whose tables would overflow int64 are refused the same way
     code, _, err = run_cli(capsys, "sweep", "2..100", "--k", str(1 << 60))
     assert code == 64 and "too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A", "2", "11"],
+        ["test", "prime", "2", "97"],
+        ["bounds", "2", "12493"],
+        ["sweep", "2..100"],
+    ],
+    ids=["dim", "test", "bounds", "sweep"],
+)
+def test_seed_is_a_factor_flag(capsys, argv):
+    # only factor reads --seed (test_factor_full); elsewhere it is an
+    # unknown argument
+    code, out, err = run_cli(capsys, *argv, "--seed", "3")
+    assert code == 64 and out == "" and "unrecognized arguments: --seed 3" in err
 
 
 def test_seed_determinism(capsys):
@@ -482,7 +507,7 @@ _bounds = st.tuples(_text(_weights), _text(_levels), st.lists(_text(_values), ma
 _factor = st.tuples(
     st.sampled_from(["squarefull", "full"]), _text(_levels),
     _opts(("--k1", _weights), ("--k2", _weights), ("--kb", _weights),
-          ("--a1", _values), ("--a2", _values), ("--b", _values)),
+          ("--a1", _values), ("--a2", _values), ("--b", _values), ("--seed", _values)),
 ).map(lambda t: ["factor", t[0], t[1], *t[2]])
 _range = st.one_of(
     st.tuples(st.integers(-5, 10**4), _his).map(lambda t: f"{t[0]}..{t[1]}"),
@@ -495,10 +520,7 @@ _sweep = st.tuples(
         st.sampled_from([["--mode", "prime"], ["--mode", "squarefree"]]),
     ), max_size=2),
 ).map(lambda t: ["sweep", t[0], *[x for o in t[1] for x in o]])
-_common = st.lists(st.one_of(
-    st.just(["--json"]),
-    st.tuples(st.just("--seed"), _text(_values)).map(list),
-), max_size=3).map(lambda opts: [x for o in opts for x in o])
+_common = st.lists(st.just(["--json"]), max_size=3).map(lambda opts: [x for o in opts for x in o])
 _argvs = st.tuples(
     st.one_of(_dim, _test, _bounds, _factor, _sweep),
     _common,

@@ -171,9 +171,20 @@ def test_recover_examples():
     assert recover_nu23_star(8, 2, _a(2, 8)) == (0, 0)
     assert recover_nu23_star(49, 2, _a(2, 49)) == (0, 0)
     assert recover_nu23_star(45, 4, _a(4, 45)) == (0, 1)
-    for n in (38, 39, 41, 55):  # squarefree beyond the lookup table
+    for n in (38, 39, 41, 55):  # squarefree: neither 4 nor 9 divides N
         f = factor_trial(n)
         assert recover_nu23_star(n, 2, _a(2, n)) == (nu2_star(f), nu3_star(f))
+
+
+def test_recover_is_one_rule_at_small_levels():
+    # the identity tests alone decide from N = 2 on, at every even weight
+    # up to 400 and at a few far beyond it (60,697 cases)
+    ks = [*range(2, 401, 2), 10**8 + 2, 2**40 + 6, 10**12]
+    for n in range(2, 301):
+        f = factor_trial(n)
+        want = local_product(star_local, f)[2:4]
+        for k in ks:
+            assert recover_nu23_star(n, k, dim_A(k, f)) == want, (n, k)
 
 
 def test_recover_matches_star_functions_broadly():
