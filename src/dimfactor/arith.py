@@ -8,7 +8,8 @@ on its arguments.
 Primality is Miller-Rabin with graded deterministic bases: below psi_t,
 the least strong pseudoprime to the first t prime bases, the first t
 primes decide it exactly (seven bases below 2^48, thirteen, 2..41, below
-psi_13 ~ 3.3e24); from psi_13 on the test is probabilistic.  Each base
+psi_13 ~ 3.3e24).  From psi_13 on it is the Baillie-PSW test, base 2
+plus a strong Lucas test, which no known composite passes.  Each base
 walks :func:`sqrt1_chain` along n - 1, the chain on which the reductions
 split a number from a multiple of its totient.  The factorizer at the
 bottom trial-divides by the primes below 2^10 and hands any larger
@@ -69,6 +70,7 @@ MAX_SWEEP_HI = 10**7
 # --- primality ---------------------------------------------------------
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_PRODUCT = math.prod(_BASES)  # 304250263527210
 # (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
 # prime bases (Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster, Math.
 # Comp. 86 (2017) for psi_12 and psi_13), so below psi_t those t bases
@@ -111,36 +113,86 @@ def sqrt1_chain(a: int, m: int, c: int) -> int | None:
     return None
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    j = 1
+    while a:
+        while a & 1 == 0:
+            a >>= 1
+            if n & 7 in (3, 5):
+                j = -j
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            j = -j
+        a %= n
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether the odd n > 1 is a strong Lucas probable prime with
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = 2^s d, d odd, it
+    passes when U_d = 0 or V_(2^r d) = 0 (mod n) for some r < s.  A D
+    sharing a factor with n below n proves n composite, and so does a
+    square n, for which no D has (D/n) = -1.  Its composites below 10^5
+    are the twelve of OEIS A217255, 5459 to 97439.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, Q % n  # U_1, V_1 and Q^1
+    for bit in bin((n + 1) >> s)[3:]:
+        # index i to 2i: U_2i = U_i V_i, V_2i = V_i^2 - 2 Q^i
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # index i to i + 1: U = (U_i + V_i) / 2, V = (D U_i + V_i) / 2
+            u, v, qk = (u + v) % n, (D * u + v) % n, qk * Q % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 @lru_cache(maxsize=1024)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.
+    """Primality test, exact below psi_13 ~ 3.3e24 and Baillie-PSW above.
 
-    Below psi_t, the least strong pseudoprime to the first t prime bases,
-    the test runs those t bases and its answer is exact: one base (2)
-    below 2047, ..., seven (2..17) below psi_7 ~ 3.4e14, which covers
-    every n < 2^48, nine below psi_9 ~ 3.8e18, twelve below psi_12 ~
-    3.2e23 and thirteen (2..41) below psi_13.  From psi_13 on it is
-    probabilistic: 64 bases drawn from ``random.Random(n)`` push the
-    error probability for composites below 4**-64, and the answer
-    depends only on n.
+    A gcd with the product of the primes 2..41 settles every n with a
+    factor among them.  Below psi_t, the least strong pseudoprime to the
+    first t prime bases, the test runs Miller-Rabin at those t bases and
+    its answer is exact: one base (2) below 2047, ..., seven (2..17)
+    below psi_7 ~ 3.4e14, which covers every n < 2^48, nine below psi_9
+    ~ 3.8e18, twelve below psi_12 ~ 3.2e23 and thirteen (2..41) below
+    psi_13.  From psi_13 on it is Baillie-PSW (Baillie and Wagstaff,
+    Math. Comp. 35 (1980)): a strong test at base 2, then a strong Lucas
+    test with Selfridge's parameters.  No composite is known to pass it,
+    though none is proved impossible; the answer depends only on n.
 
-    Because of that, the last 1024 answers are memoized: a prime that
-    a reduction certifies, builds into a Factorization and merges into
-    its result is tested once, and the memo's size does not grow with
-    the number of calls.
+    The last 1024 answers are memoized: a prime that a reduction
+    certifies, builds into a Factorization and merges into its result is
+    tested once, and the memo's size does not grow with the number of
+    calls.
     """
-    if n < 2:
+    if n <= _BASES[-1]:
+        return n in _BASES
+    if math.gcd(n, _BASES_PRODUCT) != 1:
         return False
-    for p in _BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     for psi, t in _PSI:
         if n < psi:
             return all(sqrt1_chain(a, n - 1, n) == 1 for a in _BASES[:t])
-    rng = random.Random(n)
-    return all(sqrt1_chain(rng.randrange(2, n - 1), n - 1, n) == 1 for _ in range(64))
+    return sqrt1_chain(2, n - 1, n) == 1 and _strong_lucas(n)
 
 
 # --- records -----------------------------------------------------------

@@ -13,12 +13,16 @@ the identity tests decide even below 38), finds the squarefull part L of
 N and the split N = E * L, dividing the starred values of each peeled
 prime power out of the invariants; the three-value reduction then tries
 only the sharp triples possible for that split and for E's residues mod
-4 and mod 3 (at most 20 when E < 2^48) and gates each candidate totient
-m of E with the base-2 chain of m modulo E's odd part
-(``arith.sqrt1_chain``, the chain Miller-Rabin walks along n - 1), which
-accepts exactly when 2^m = 1 there.  A wrong guess costs that one
-modular exponentiation; on the true guess the chain is the first split
-round of the totient-multiple factorizer.  Both read those values of
+4 and mod 3 (at most 20 when E < 2^48), by increasing omega(E).  Each
+candidate totient m of E must first fit the O(1) facts its triple
+implies about phi(E) (its 2-adic valuation, its residue mod 3), then
+pass the base-2 chain of m modulo E's odd part (``arith.sqrt1_chain``,
+the chain Miller-Rabin walks along n - 1), which accepts exactly when
+2^m = 1 there.  Once one candidate m1 has failed that gate, a later m is
+checked against the one power 2^m1 times the small power 2^(m - m1), so
+a level spends at most three full-size exponentiations at the gate; on
+the true guess the chain is the first split round of the
+totient-multiple factorizer.  Both read those values of
 prime powers they found as :func:`~dimfactor.multfuncs.local_product` of
 the local factors, and both hold their rationals as reduced
 numerator/denominator pairs.  Their only randomness is the caller's
@@ -392,11 +396,12 @@ def _sharp_guesses(split: SquarefullSplit, l_sharp: tuple[int, int, int, int, in
 
     (The local factors are those of G. Martin, J. Number Theory 112
     (2005).)  The triples with both values of E zero come first (mu = +1
-    before -1), then those with only nu2#(E) nonzero, only nu3#(E)
-    nonzero and both nonzero, each by increasing omega(E).  Each of the
-    last three groups has at most max(1, ceil(omega_max / 2)) triples, so
-    there are at most 2 + 3 max(1, ceil(omega_max / 2)): 20 for E < 2^48,
-    where omega_max = 12.  Under truthful inputs the true triple is among
+    before -1), then the others by increasing omega(E), since a level
+    with few primes is the likelier: at each omega(E), only nu2#(E)
+    nonzero, only nu3#(E) nonzero, then both.  Each of those three kinds
+    has at most max(1, ceil(omega_max / 2)) triples, so there are at
+    most 2 + 3 max(1, ceil(omega_max / 2)): 20 for E < 2^48, where
+    omega_max = 12.  Under truthful inputs the true triple is among
     them, and no triple repeats.
     """
     _, _, y_l, z_l, mu_l = l_sharp  # mu_l = mu(L), so mu(N) = mu_l * (-1)^omega(E)
@@ -405,13 +410,48 @@ def _sharp_guesses(split: SquarefullSplit, l_sharp: tuple[int, int, int, int, in
     zs = _nonzero_sharp(split.E, 3, kronecker_m3, top) if z_l else {}
     for mu in (1, -1) if mu_l else (0,):
         yield 0, 0, mu
-    for w, y in ys.items():
-        yield y_l * y, 0, mu_l * (-1) ** w
-    for w, z in zs.items():
-        yield 0, z_l * z, mu_l * (-1) ** w
-    for w, y in ys.items():
+    for w in sorted(ys.keys() | zs.keys()):
+        mu = mu_l * (-1) ** w
+        if w in ys:
+            yield y_l * ys[w], 0, mu
         if w in zs:
-            yield y_l * y, z_l * zs[w], mu_l * (-1) ** w
+            yield 0, z_l * zs[w], mu
+            if w in ys:
+                yield y_l * ys[w], z_l * zs[w], mu
+
+
+def _fits_sharp_facts(m: int, E: int, y_l: int, z_l: int, nu2: int, nu3: int) -> bool:
+    """Whether m fits what the guess nu2#(N) = nu2, nu3#(N) = nu3 says
+    about phi(E), for the squarefree E > 1 and y_l = nu2#(L),
+    z_l = nu3#(L).
+
+    Where y_l != 0 the guess fixes nu2#(E) = nu2 / y_l, and where
+    z_l != 0 it fixes nu3#(E) = nu3 / z_l.  By the local factors of
+    :func:`_nonzero_sharp`, with c = [2 | E]:
+
+    * nu2#(E) = +-2^r: every odd prime q of E is 3 mod 4, so q - 1 is
+      twice an odd number and v2(phi(E)) = r = omega(E) - c exactly.
+      nu2#(E) = 0: a prime of E is 1 mod 4, so 4 | phi(E).
+    * nu3#(E) = +-2^r: every prime q != 3 of E is 2 mod 3, so q - 1 is
+      1 mod 3 and phi(E) = 2^[3 | E] (mod 3).  nu3#(E) = 0: a prime of E
+      is 1 mod 3, so 3 | phi(E).
+    * A nonzero value fixes omega(E) = w, and each of E's w - c odd
+      primes q has 2 | q - 1, so 2^(w - c) | phi(E); where nu2#(E) is
+      nonzero its exact valuation already says so.
+    """
+    c = 1 - (E & 1)
+    if y_l:
+        y = abs(nu2 // y_l)
+        if (m & -m != y) if y else m % 4:
+            return False
+    if z_l:
+        z = abs(nu3 // z_l)
+        if not z:
+            return m % 3 == 0
+        b = int(E % 3 == 0)
+        w = b + z.bit_length() - 1
+        return m % 3 == 1 + b and m % (1 << (w - c)) == 0
+    return True
 
 
 def full_factor_three_values(
@@ -422,28 +462,36 @@ def full_factor_three_values(
     The squarefull part L comes from the two-value reduction.  For the
     squarefree part E, each sharp Kronecker/Mobius triple possible for
     the split N = E * L and for E mod 4 and E mod 3
-    (:func:`_sharp_guesses`, at most 20 when E < 2^48) turns the newform
-    dimension into a candidate totient of E (the sharp infinity value
-    vanishes as soon as E > 1).  A candidate m goes on to the
-    totient-multiple factorizer (Miller's split of E from a multiple of
-    phi(E)) only if 2**m = 1 modulo the odd part of E, which the true
-    phi(E) always satisfies.  That check is ``arith.sqrt1_chain`` at base
-    2, so a wrong guess costs one modular exponentiation, and on a passing
-    guess the chain is the factorizer's first split round: where it meets
-    a nontrivial square root of 1, its gcd splits the odd part, which then
-    needs neither a primality test nor a random base to split.  E's parts
-    are factored into one count of primes with L's, so N's factorization
-    is built once; it recomposes to N with every factor certified prime
-    by construction.  Lying values raise FactoringFailureError or
-    InconsistentInputsError, unless a guess still yields the certified
-    factorization of N.
+    (:func:`_sharp_guesses`, at most 20 when E < 2^48, by increasing
+    omega(E)) turns the newform dimension into a candidate totient of E
+    (the sharp infinity value vanishes as soon as E > 1).  A candidate m
+    must fit the O(1) facts its triple implies about phi(E)
+    (:func:`_fits_sharp_facts`: the power of 2 in m, and m mod 3), and
+    goes on to the totient-multiple factorizer (Miller's split of E from
+    a multiple of phi(E)) only if 2**m = 1 modulo the odd part of E,
+    which the true phi(E) always satisfies.  That check is
+    ``arith.sqrt1_chain`` at base 2.  After the first candidate m1 fails
+    it, the power P = 2**m1 is kept, and a later m is checked as
+    P * 2**(m - m1) = 1, where m - m1 is as small as the sharp terms of
+    B; so the gate spends at most the failed chain, P and the chain of a
+    passing m in full-size exponentiations, unless a passing wrong m then
+    fails to factor E.  On a passing guess the chain is the factorizer's
+    first split round: where it meets a nontrivial square root of 1, its
+    gcd splits the odd part, which then needs neither a primality test
+    nor a random base to split.  E's parts are factored into one count
+    of primes with L's, so N's factorization is built once; it recomposes
+    to N with every factor certified prime by construction.  Lying values
+    raise FactoringFailureError or InconsistentInputsError, unless a
+    guess still yields the certified factorization of N.
     """
     split = factor_squarefull_two_values(N, k1, a1, k2, a2, rng)
     if split.E == 1:
         return split.L
     l_sharp = local_product(sharp_local, split.L)  # L * s0#(L) first
+    _, _, y_l, z_l, _ = l_sharp
     e_odd = split.E >> ((split.E & -split.E).bit_length() - 1)  # E without its factors of 2
     tried: set[int] = set()
+    power = None  # 2**m1 mod e_odd, once the gate has refused m1
     for nu2, nu3, mu in _sharp_guesses(split, l_sharp):
         # 12 * b = (k-1) * N * s0#(N) + the rest of the closed form, whose
         # nu_inf# term vanishes since E > 1
@@ -456,12 +504,15 @@ def full_factor_three_values(
             continue
         if not 1 <= cand < split.E or (split.E > 2 and cand % 2 != 0):
             continue
-        if cand in tried:
+        if cand in tried or not _fits_sharp_facts(cand, split.E, y_l, z_l, nu2, nu3):
             continue
         tried.add(cand)
+        if power is not None and power * pow(2, cand - m1, e_odd) % e_odd != 1:
+            continue
         # phi(e_odd) divides the true candidate phi(E), so it passes
         g = sqrt1_chain(2, cand, e_odd) if e_odd > 1 else 1
         if g is None:
+            m1, power = cand, pow(2, cand, e_odd)
             continue
         # g, e_odd // g and E's power of 2 multiply to E, which is coprime
         # to L, so no prime repeats; g = 1 leaves the odd part whole

@@ -192,6 +192,9 @@ def test_probable_prime_mersenne():
     assert is_probable_prime(2**61 - 1)
     assert not _lucas_lehmer(67)
     assert not is_probable_prime(2**67 - 1)
+    for p in (127, 521, 607):  # above psi_13: Baillie-PSW
+        assert _lucas_lehmer(p)
+        assert is_probable_prime(2**p - 1), p
 
 
 def test_probable_prime_basics():
@@ -203,11 +206,73 @@ def test_probable_prime_basics():
 
 
 def test_probable_prime_large():
-    # beyond the deterministic range: random rounds
+    # beyond the deterministic range: Baillie-PSW
     p = 2**89 - 1  # Mersenne prime
     assert _lucas_lehmer(89)
     assert is_probable_prime(p * 1)
     assert not is_probable_prime(p * (2**107 - 1))
+
+
+# --- Baillie-PSW above psi_13 ---------------------------------------------
+
+# OEIS A217255: the strong Lucas pseudoprimes with Selfridge's parameters,
+# every one below 10^5
+_STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
+
+
+def test_strong_lucas_step_below_1e5():
+    # the Lucas step alone passes every odd prime and exactly the twelve
+    # composites of A217255; base 2 refuses each of them, so Baillie-PSW
+    # does too, and the first strong pseudoprimes to base 2 fail the
+    # Lucas step
+    primes = _sieve_primes(10**5)
+    passed = {n for n in range(3, 10**5, 2) if arith._strong_lucas(n)}
+    assert sorted(passed - primes) == list(_STRONG_LUCAS_PSEUDOPRIMES)
+    assert primes - passed == {2}
+    for n in _STRONG_LUCAS_PSEUDOPRIMES:
+        assert sqrt1_chain(2, n - 1, n) != 1, n
+        assert not is_probable_prime(n), n
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert sqrt1_chain(2, n - 1, n) == 1, n
+        assert not arith._strong_lucas(n), n
+
+
+def _random_rounds(n):
+    """The test above psi_13 before Baillie-PSW: no factor among 2..41,
+    then 64 strong bases drawn from random.Random(n)."""
+    if any(n % p == 0 for p in _FIRST_PRIMES):
+        return False
+    rng = random.Random(n)
+    return all(_strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(64))
+
+
+def _next_random_rounds_prime(n):
+    n |= 1
+    while not _random_rounds(n):
+        n += 2
+    return n
+
+
+def test_baillie_psw_agrees_with_random_rounds():
+    # seeded odd n of 90 to 256 bits, rich in primes: primes, products of
+    # two primes, random odd n, and the Wagstaff numbers (2^p + 1) / 3,
+    # whose composites all pass the strong test at base 2
+    r = random.Random(2029)
+    primes = [_next_random_rounds_prime(r.getrandbits(b) | 1 << (b - 1)) for b in range(90, 257, 2)]
+    halves = [_next_random_rounds_prime(r.getrandbits(b) | 1 << (b - 1)) for b in range(45, 129)]
+    products = [p * q for p, q in zip(halves, reversed(halves))]
+    odd = [r.getrandbits(b) | 1 << (b - 1) | 1 for b in range(90, 257) for _ in range(2)]
+    wagstaff = [(2**p + 1) // 3 for p in arith.primes_below(257) if p > 89]
+    ns = primes + products + odd + wagstaff
+    psi13 = arith._PSI[-1][0]
+    assert all(psi13 < n < 1 << 256 for n in ns)
+    verdicts = [is_probable_prime(n) for n in ns]
+    assert verdicts == [_random_rounds(n) for n in ns]
+    assert sum(verdicts) > 90
+    base2_liars = [n for n, v in zip(ns, verdicts) if not v and sqrt1_chain(2, n - 1, n) == 1]
+    assert len(base2_liars) >= 25, len(base2_liars)
 
 
 # --- factorizations ------------------------------------------------------

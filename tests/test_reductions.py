@@ -392,7 +392,9 @@ def test_lying_values_audit_at_small_levels(small_values):
     # each of A(2), A(4), B(2) off by each lie, at every N <= 3,000: the
     # reduction raises or returns the truth, never a wrong factorization.
     # The counts pin how the lies end; a change of the random stream may
-    # move cases between FactoringFailureError and the certified truth
+    # move cases between FactoringFailureError and the certified truth.
+    # A lie that lands on the true phi(E) under a wrong sharp guess is
+    # refused when phi(E) does not fit that guess's facts, and raises
     tally = Counter()
     for n in range(2, 3_001):
         truth = factor_trial(n).factors
@@ -408,8 +410,8 @@ def test_lying_values_audit_at_small_levels(small_values):
     assert tally["wrong"] == 0
     assert tally == {
         "InconsistentInputsError": 46_286,
-        "FactoringFailureError": 20_702,
-        "truth": 4_988,
+        "FactoringFailureError": 21_624,
+        "truth": 4_066,
     }
 
 
@@ -586,10 +588,21 @@ def _obeys_residues(guess, split, top):
     return mu in (1, -1) and all(mu == (-1) ** w for w in omegas)
 
 
+def _guess_omega(guess, split):
+    """omega(E) as a guess with a nonzero value of E fixes it, read as
+    :func:`_obeys_residues` reads it; None when both values are 0."""
+    _, _, y_l, z_l, _ = local_product(sharp_local, split.L)
+    for v, l_value, p, modulus in ((guess[0], y_l, 2, 4), (guess[1], z_l, 3, 3)):
+        if v != 0:
+            return _omega_of_nonzero(v // l_value, split.E, p, modulus)
+    return None
+
+
 def test_sharp_guesses_hold_the_true_triple():
     # the pruned guesses always hold the true triple, stay inside the old
     # exhaustive walk, obey E's residues mod 4 and mod 3, never repeat,
-    # and number at most 2 + 3 max(1, ceil(omega_max / 2))
+    # number at most 2 + 3 max(1, ceil(omega_max / 2)), and after the
+    # both-zero group come by increasing omega(E)
     levels = [factor_trial(n) for n in range(1, 30_001)] + _planted_levels(300, 1234)
     for f in levels:
         split, truth = _split_and_truth(f)
@@ -601,6 +614,10 @@ def test_sharp_guesses_hold_the_true_triple():
         assert distinct <= _reference_walk(n.bit_length(), split.L.value() > 1), n
         assert all(_obeys_residues(g, split, top) for g in guesses), n
         assert len(guesses) == len(distinct) <= 2 + 3 * max(1, -(-top // 2)), n
+        omegas = [_guess_omega(g, split) for g in guesses]
+        zeros = omegas.count(None)
+        assert omegas[:zeros] == [None] * zeros, n
+        assert omegas[zeros:] == sorted(omegas[zeros:]), n
 
 
 def _mixed_levels(count, seed):
@@ -695,6 +712,131 @@ def test_true_phi_passes_the_fermat_check(kb, monkeypatch):
             full_factor_three_values(n, 2, _a(2, n), 4, _a(4, n), kb, _b(kb, n), random.Random(n))
         assert len(seen) == len(set(seen)), n  # one refusal per candidate
         assert euler_phi(factor_trial(split.E)) in seen, n
+
+
+def _squarefree_primes(limit):
+    """{E: the primes of E} for every squarefree 1 < E <= limit, from a
+    smallest-prime-factor sieve."""
+    least = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if least[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    out = {}
+    for e in range(2, limit + 1):
+        primes, rest = [], e
+        while rest > 1:
+            p = least[rest]
+            rest //= p
+            if primes and primes[-1] == p:
+                break
+            primes.append(p)
+        else:
+            out[e] = primes
+    return out
+
+
+def test_sharp_facts_accept_the_true_totient():
+    # for every squarefree E <= 10^5 and each squarefull L in {1, 8, 27,
+    # 216} coprime to E, which give all four zero/nonzero patterns of
+    # nu2#(L) and nu3#(L), the facts of the true triple accept phi(E); a
+    # nonzero nu2#(E) fixes v2(phi(E)), so they refuse 2 phi(E), and a
+    # nonzero nu3#(E) fixes phi(E) mod 3, so they refuse 3 phi(E)
+    patterns = {}
+    for l_value in (1, 8, 27, 216):
+        _, _, y_l, z_l, _ = local_product(sharp_local, factor_trial(l_value))
+        patterns[l_value] = y_l, z_l
+    assert {(y != 0, z != 0) for y, z in patterns.values()} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    fits = reductions._fits_sharp_facts
+    cases = refused = 0
+    for e, primes in _squarefree_primes(100_000).items():
+        f = Factorization(tuple((p, 1) for p in primes))
+        phi = euler_phi(f)
+        _, _, y_e, z_e, _ = local_product(sharp_local, f)
+        for l_value, (y_l, z_l) in patterns.items():
+            if math.gcd(e, l_value) != 1:
+                continue
+            nu2, nu3 = y_e * y_l, z_e * z_l
+            assert fits(phi, e, y_l, z_l, nu2, nu3), (e, l_value)
+            if y_l and y_e:
+                assert not fits(2 * phi, e, y_l, z_l, nu2, nu3), (e, l_value)
+                refused += 1
+            if z_l and z_e:
+                assert not fits(3 * phi, e, y_l, z_l, nu2, nu3), (e, l_value)
+                refused += 1
+            cases += 1
+    assert cases > 150_000 and refused > 20_000, (cases, refused)
+
+
+def test_gate_spends_at_most_three_full_exponentiations(monkeypatch):
+    # on the 1,536 seeded levels the Fermat gate spends at most three
+    # full-size exponentiations modulo E's odd part per level: base-2
+    # chains there outside the factorizer, and powers there whose
+    # exponent has more than half the modulus's bits.  A wrong guess that
+    # passes the residue facts is checked against one shared power
+    spent = Counter()
+    state = {"modulus": None, "level": None, "depth": 0}
+    chain, factor_into = reductions.sqrt1_chain, reductions._phi_factor_into
+
+    def counting_chain(a, m, c):
+        if c == state["modulus"] and state["depth"] == 0:
+            spent[state["level"]] += 1
+        return chain(a, m, c)
+
+    def counting_pow(base, exp, mod):
+        if mod == state["modulus"] and 2 * abs(exp).bit_length() > mod.bit_length():
+            spent[state["level"]] += 1
+        return pow(base, exp, mod)
+
+    def inside_factorizer(*args):
+        state["depth"] += 1
+        try:
+            return factor_into(*args)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(reductions, "sqrt1_chain", counting_chain)
+    monkeypatch.setattr(reductions, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(reductions, "_phi_factor_into", inside_factorizer)
+    gated = 0
+    for i, (f, a1, a2, b) in enumerate(_mixed_cases()):
+        e = math.prod(p for p, k in f if k == 1)
+        state["modulus"], state["level"] = e >> ((e & -e).bit_length() - 1), i
+        gated += state["modulus"] > 1
+        assert full_factor_three_values(f.value(), 2, a1, 4, a2, 2, b, random.Random(i)) == f
+    assert sum(spent.values()) >= gated > 1_000
+    assert max(spent.values()) <= 3, spent.most_common(3)
+
+
+def _rsa_prime(r):
+    """The first probable prime among odd 1024-bit numbers with the top
+    bit set, drawn from r."""
+    while True:
+        p = r.getrandbits(1024) | 1 << 1023 | 1
+        if is_probable_prime(p):
+            return p
+
+
+def test_three_value_reduction_at_rsa_scale():
+    # N = pq from 1024-bit seeded primes with truthful values; seeds 1024
+    # (p = q = 11 mod 12, both sharp values of E nonzero) and 3 walked
+    # hundreds of guesses with a 2048-bit exponentiation each and 64
+    # Miller-Rabin rounds per prime, 6.7 s and 3.7 s; 2 s of CPU each is
+    # a loose bound
+    for seed in (1024, 3):
+        r = random.Random(seed)
+        p, q = sorted((_rsa_prime(r), _rsa_prime(r)))
+        f = Factorization(((p, 1), (q, 1)))
+        args = (p * q, 2, dim_A(2, f), 4, dim_A(4, f), 2, dim_B(2, f))
+        is_probable_prime.cache_clear()
+        t = time.process_time()
+        got = full_factor_three_values(*args, random.Random(seed))
+        spent = time.process_time() - t
+        assert got == f, seed
+        assert spent < 2.0, (seed, spent)
 
 
 @pytest.mark.parametrize("kb", [2, 4])
