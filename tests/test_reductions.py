@@ -821,11 +821,11 @@ def _rsa_prime(r):
 
 
 def test_three_value_reduction_at_rsa_scale():
-    # N = pq from 1024-bit seeded primes with truthful values; seeds 1024
-    # (p = q = 11 mod 12, both sharp values of E nonzero) and 3 walked
-    # hundreds of guesses with a 2048-bit exponentiation each and 64
-    # Miller-Rabin rounds per prime, 6.7 s and 3.7 s; 2 s of CPU each is
-    # a loose bound
+    # N = pq from 1024-bit seeded primes with truthful values.  Seeds 1024
+    # (p = q = 11 mod 12, both sharp values of E nonzero) and 3 are the
+    # slow ones for a loop that spends a 2048-bit exponentiation on each
+    # wrong guess and 64 Miller-Rabin rounds on each prime (3.7-6.7 s on
+    # a 2-core Xeon); 2 s of CPU each is a loose bound
     for seed in (1024, 3):
         r = random.Random(seed)
         p, q = sorted((_rsa_prime(r), _rsa_prime(r)))
