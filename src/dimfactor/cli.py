@@ -2,12 +2,17 @@
 
 Subcommands: dim, test, bounds, factor, sweep.  Results go to stdout
 (plain text, or JSON under the global --json), diagnostics to stderr.
-Exit codes: 0 for success or a determinate verdict, 1 for operational
-failures and for suspicious verdicts, 2 for an exception-case verdict,
-64 for usage errors, among them any weight or sweep request the
-library's own rules refuse.  A verdict is suspicious when the oracle
-value is one no truthful oracle gives; it is still printed, with
-``suspicious`` set in the JSON and a ``warning:`` line on stderr.
+Exit codes: 0 for success or a determinate verdict, 1 for a failed
+computation (a ``DimfactorError``: the rho budget spent, a reduction
+out of rounds, inconsistent oracle values) and for suspicious verdicts,
+2 for an exception-case verdict, 64 for a refused request: a malformed
+argument, a request the library's own rules refuse (a ``ValueError``,
+such as a level below 2 for the tests), or an answer too large to print
+under Python's 4,300-digit limit on converting an int to a string.
+``main`` maps exceptions to exit codes in one place.  A verdict is
+suspicious when the oracle value is one no truthful oracle gives; it is
+still printed, with ``suspicious`` set in the JSON and a ``warning:``
+line on stderr.
 ``factor``, the one subcommand that takes --seed, draws its random bases
 from ``random.Random(--seed)``.  An oracle value left off the command
 line is computed by the built-in oracle, within the rho step bound
@@ -41,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _json_value(x):
@@ -110,7 +111,7 @@ def _oracle_value(value, fetch) -> int:
         except DomainError as exc:
             raise DomainError(f"{exc}; pass the oracle value explicitly instead") from None
     if value < 0:
-        raise UsageError(f"oracle values are nonnegative, got {value}")
+        raise ValueError(f"oracle values are nonnegative, got {value}")
     return value
 
 
@@ -174,8 +175,6 @@ def _cmd_dim(args) -> int:
         elif kind == "B":
             value = dim_B(k, f)
         else:
-            if n < 2:
-                raise UsageError("delta needs N >= 2")
             value = dim_delta(k, f)
     payload = {"kind": kind, "k": k, "N": n, "value": _json_value(value)}
     _emit(args, [str(value)], payload)
@@ -184,8 +183,6 @@ def _cmd_dim(args) -> int:
 
 def _cmd_test(args) -> int:
     k, n = args.k, args.N
-    if n < 2:
-        raise UsageError("tests need N >= 2")
     oracle = DefaultOracle()
     if args.kind == "squarefree":
         value = _oracle_value(args.value, lambda: oracle.query_A(k, n))
@@ -246,8 +243,10 @@ def _factors_json(factors) -> list[list[int]]:
 
 
 def _cmd_factor(args) -> int:
+    # the reduction refuses equal weights too, but only after the oracle
+    # has factored N, which can spend the whole rho budget
     if args.k1 == args.k2:
-        raise UsageError("--k1 and --k2 must differ")
+        raise ValueError("--k1 and --k2 must differ")
     n = args.N
     rng = random.Random(args.seed)
     oracle = DefaultOracle()
@@ -271,10 +270,7 @@ def _cmd_factor(args) -> int:
 def _cmd_sweep(args) -> int:
     lo, hi = args.range
     sweep = sweeps.trichotomy_sweep if args.mode == "squarefree" else sweeps.primality_sweep
-    try:
-        rep = sweep(lo, hi, args.k)  # refused before any block is sieved
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rep = sweep(lo, hi, args.k)  # refused before any block is sieved
     lines = [
         f"sweep {args.mode} {lo}..{hi} k={','.join(map(str, args.k))}: "
         f"checked {rep.checked} pairs, {len(rep.violations)} violations",
@@ -310,12 +306,11 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, InvalidWeightError) as exc:
+    except (DimfactorError, ValueError) as exc:
+        # a DimfactorError is a failed computation even when it is also a
+        # ValueError (DomainError, InconsistentInputsError)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DimfactorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_FAILURE if isinstance(exc, DimfactorError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

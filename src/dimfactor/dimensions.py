@@ -119,8 +119,8 @@ def dim_B(k: int, f: Factorization) -> int:
 
 
 class OracleSample(FrozenRecord):
-    """One tagged dimension value; the only currency the reduction
-    algorithms may consume."""
+    """What an oracle query returns: one dimension value, tagged with its
+    kind ("A" or "B"), weight and level."""
 
     __slots__ = ("kind", "k", "n", "value")
 

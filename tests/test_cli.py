@@ -45,7 +45,46 @@ def test_dim_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "dim", "A", "2", "0")
     assert code == 64
     code, out, err = run_cli(capsys, "dim", "delta", "2", "1")
-    assert code == 64 and out == "" and err == "error: delta needs N >= 2\n"
+    assert code == 64 and out == "" and err == "error: level must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "squarefree", "2", "1"],
+        ["test", "prime", "2", "1"],
+        ["test", "prime", "2", "1", "0"],
+    ],
+)
+def test_level_one_is_refused_by_the_library_rule(capsys, argv):
+    # the CLI states no level rule of its own: the detectors refuse N < 2
+    # (dim_delta too, see above), and main maps their ValueError to exit 64
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (64, "", "error: level must be >= 2, got 1\n")
+
+
+# Past Python's default limit of 4,300 digits an int does not convert to a
+# string; an answer that long is a refused request, not a traceback.
+_BIG_K = 10**4299 - 2  # 4,299 digits, even; A(k, 1000) and H(k, 1009) have 4,301
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() != 4300,
+    reason="needs Python's default 4,300-digit int-to-string limit",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A", str(_BIG_K), "1000"],
+        ["dim", "G", str(10**3000 + 2), str(10**3000 + 1)],
+        ["test", "prime", str(_BIG_K), "1009", "0", "--json"],
+    ],
+    ids=["dim-A", "dim-G", "test-prime-json"],
+)
+def test_answers_past_the_digit_limit_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_test_command(capsys):
@@ -223,9 +262,17 @@ def test_weights_past_the_old_cap(capsys):
     assert code == 0 and json.loads(out)["factors"] == [[2, 2], [3, 2], [5, 2], [7, 2]]
 
 
-def test_factor_rejects_equal_weights(capsys):
+def test_factor_rejects_equal_weights(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "factor", "squarefull", "72", "--k1", "2", "--k2", "2")
     assert code == 64 and "differ" in err
+
+    # refused before the oracle factors N, which could spend the rho budget
+    def refuse(*_):
+        raise AssertionError("equal weights must be refused before the oracle is queried")
+
+    monkeypatch.setattr(dimensions.DefaultOracle, "query_A", refuse)
+    code, out, err = run_cli(capsys, "factor", "squarefull", "72", "--k1", "4", "--k2", "4")
+    assert (code, out, err) == (64, "", "error: --k1 and --k2 must differ\n")
 
 
 def test_sweep_command(capsys):
@@ -465,7 +512,8 @@ def test_json_round_trip(capsys):
 # Random command lines, mostly well formed, run in-process: whatever the
 # input, main returns one of the documented exit codes, writes no
 # traceback, and prints parseable JSON under --json (failures print
-# nothing on stdout).  Levels and oracle values reach 10^400; the
+# nothing on stdout).  Levels and oracle values reach 10^400, weights
+# just under the 4,300-digit limit on converting an int to a string; the
 # default oracle's rho runs with a 2^12-step bound, so each example stays
 # short whatever level it draws.  Sweep HI values stay at most 10^4 or go
 # above the cap, so no draw builds a large table.
@@ -473,7 +521,7 @@ def test_json_round_trip(capsys):
 _WEIGHTS = (2, 4, 6, 12, 14, 26)
 _weights = st.one_of(
     st.sampled_from(_WEIGHTS), st.integers(-4, 30), st.sampled_from([1 << 20, (1 << 20) + 2, 10**9]),
-    st.integers(-4, 10**400),
+    st.integers(-4, 10**400), st.integers(10**4000, 10**4299 - 1),
 )
 _levels = st.one_of(st.integers(-3, 60), st.integers(2, 10**6), st.integers(2, 10**400))
 _values = st.one_of(
