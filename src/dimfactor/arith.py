@@ -315,6 +315,13 @@ _TRIAL_PRIMES = primes_below(1 << 10)
 RHO_STEPS = 1 << 21
 
 
+def _brief(n: int) -> str:
+    """n in full up to 50 digits; past that, its digit count and its
+    first and last digits, so that an error line stays one short line."""
+    s = str(n)
+    return s if len(s) <= 50 else f"a {len(s)}-digit number {s[:5]}...{s[-5:]}"
+
+
 def _brent_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of an odd composite non-prime n (Brent's cycle
     variant of Pollard rho).  Raises DomainError rather than pass
@@ -329,7 +336,9 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         while g == 1:
             # a round takes at most 2r steps
             if steps + 2 * r > RHO_STEPS:
-                raise DomainError(f"factoring {n} takes more than {RHO_STEPS} Pollard-rho steps")
+                raise DomainError(
+                    f"factoring {_brief(n)} takes more than {RHO_STEPS} Pollard-rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -298,6 +298,17 @@ _DISPATCH = {
 }
 
 
+def _error_text(exc: Exception) -> str:
+    """What the one error line says.  An answer past Python's limit on
+    converting an int to a string raises a plain ValueError whose own
+    advice, a call to sys.set_int_max_str_digits(), a CLI user cannot
+    follow; the line names the limit and the variable that lifts it."""
+    if "integer string conversion" in str(exc):
+        return (f"the answer has more than {sys.get_int_max_str_digits()} digits, Python's "
+                "limit on printing an integer; set PYTHONINTMAXSTRDIGITS=0 to lift it")
+    return str(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -309,7 +320,7 @@ def main(argv=None) -> int:
     except (DimfactorError, ValueError) as exc:
         # a DimfactorError is a failed computation even when it is also a
         # ValueError (DomainError, InconsistentInputsError)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_FAILURE if isinstance(exc, DimfactorError) else EXIT_USAGE
 
 

@@ -15,11 +15,14 @@ whole tables, and the sweeps compare each block before they draw the
 next, turning its first four rows into the gap rows in place
 (:func:`minus_G_rows`, which reads both Kronecker symbols of consecutive
 levels as a view of one cached 12-periodic tile of ``arith.KRON12``).
-Its strides are the multiples of p^min_e for each prime
-p <= sqrt(hi), less p itself.  The same sieve in pure Python
-(:func:`_small_sieve`, through :func:`small_star_block` and
-:func:`small_sharp_block`) returns a window as one block of lists; the
-sweeps use it on windows of at most ``sweeps.SMALL_WINDOW`` = 2^15
+The sieve reaches each prime p <= sqrt(hi) through its multiples of
+p^min_e, less p itself: the primes up to ``STRIDE_BOUND`` = 16 one at a
+time, as strides, and all the larger ones at once, in one scatter per
+block.  The sieve in pure Python (:func:`_small_sieve`, through
+:func:`small_star_block` and :func:`small_sharp_block`) takes every
+prime by strides and returns a window as one block of lists; it shares
+the local factors, the rest step and the output with the numpy form.
+The sweeps use it on windows of at most ``sweeps.SMALL_WINDOW`` = 2^15
 levels, where importing numpy would cost a fresh process more than the
 whole pure-Python sweep (measured crossover: about 2^15 levels in prime
 mode, about 2^16 in squarefree mode).  A caller that has numpy loaded
@@ -88,7 +91,13 @@ def _kron(levels: np.ndarray) -> np.ndarray:
 
 # --- the sieve -----------------------------------------------------------
 
-SIEVE_BLOCK = 1 << 16  # levels per block of the sieve
+SIEVE_BLOCK = 1 << 14  # levels per block of the sieve
+
+# Primes up to STRIDE_BOUND go into a block by strides, one prime at a
+# time.  Each larger prime has at most SIEVE_BLOCK / 17 multiples in a
+# block, too few to pay for the dozen numpy calls of a stride, so they
+# all go in together, in one scatter per block (:func:`_scatter`).
+STRIDE_BOUND = 16
 
 
 def _sharp_rest(acc: np.ndarray, q: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -116,7 +125,7 @@ def _star_rest(acc: np.ndarray, m: np.ndarray, levels: np.ndarray) -> np.ndarray
 def _prime_powers(hi: int, local):
     """For each prime p <= sqrt(hi): p, its powers [p^0, p^1, ...] up to
     hi, and the local factor rows ``local(p, e)`` at each exponent, all 1
-    at e = 0.  Both forms of the sieve read their strides from here."""
+    at e = 0.  Both forms of the sieve read their primes from here."""
     for p in primes_below(math.isqrt(hi) + 1):
         pows = [1]
         while pows[-1] * p <= hi:
@@ -133,23 +142,29 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
     block's buffers (levels, the rest, the rows, the exponents) allocated
     once, before the first block; each block refills them in place.  So
     ``levels`` and ``rows`` are views valid until the next block is drawn:
-    a caller that keeps a block past that copies it.  Each block walks
-    the primes p <= sqrt(hi) in increasing order: the exact power p^e,
-    e >= min_e, of every multiple of p^min_e other than p itself is read
-    off the strided multiples of p^min_e, p^(min_e+1), ..., divided out,
-    and its local factor multiplied in, row by row.  ``rest(rows, r,
-    levels)`` multiplies in the factors of what is left, r, and returns
-    the mask: the levels no stride touched.
+    a caller that keeps a block past that copies it.  In each block the
+    exact power p^e, e >= min_e, of every prime p <= sqrt(hi) is divided
+    out of each multiple of p^min_e other than p itself, and its local
+    factor multiplied in.  The primes p <= STRIDE_BOUND do this one at a
+    time, reading e off the strided multiples of p^min_e, p^(min_e+1),
+    ...; the larger ones all at once, in :func:`_scatter`.  ``rest(rows,
+    r, levels)`` multiplies in the factors of what is left, r, and
+    returns the mask: the levels no prime touched.
     """
     import numpy as np
 
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     a0 = max(lo, 1)
-    factors = [  # (powers, the same as an array, local factor rows by exponent)
-        (pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64))
-        for _, pows, rows in _prime_powers(hi, local)
-    ]
+    strided, scattered, columns = [], [], []
+    for p, pows, rows in _prime_powers(hi, local):
+        if p <= STRIDE_BOUND:
+            strided.append((pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64)))
+        else:  # a column (p^e, *local(p, e)) for each e >= min_e with p^e <= hi
+            scattered.append((p, p**min_e, len(columns)))
+            columns += [(pe, *row) for pe, row in zip(pows[min_e:], rows[min_e:])]
+    primes = np.array(scattered, dtype=np.int64).reshape(-1, 3).T
+    table = np.array(columns, dtype=np.int64).reshape(-1, 6).T
     size = min(SIEVE_BLOCK, hi + 1 - a0)
     levels = np.arange(a0, a0 + size, dtype=np.int64)
     rem, exps = np.empty_like(levels), np.empty_like(levels)
@@ -161,7 +176,7 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
         levels += a - int(levels[0])
         rem[:] = levels
         acc.fill(1)
-        for pows, pow_arr, rows in factors:
+        for pows, pow_arr, rows in strided:
             step = pows[min_e]
             first = max(-a % step, 2 * pows[1] - a)
             if first >= size:
@@ -175,7 +190,47 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
             rem[first::step] //= pow_arr[e_at]
             for row, factor in zip(acc, rows.T):
                 row[first::step] *= factor[e_at]
+        if scattered:
+            _scatter(a, size, primes, table, rem, acc)
         yield levels, acc, rest(acc, rem, levels)
+
+
+def _scatter(a: int, size: int, primes: np.ndarray, table: np.ndarray,
+             rem: np.ndarray, acc: np.ndarray) -> None:
+    """Divide out of the rest ``rem`` of the block of levels a, a+1, ...,
+    a+size-1 the exact power p^e of each scattered prime p at each of its
+    multiples of p^min_e other than p, and multiply its local factors
+    into ``acc``.  ``primes`` holds three rows: each prime p, its stride
+    p^min_e, and its first column in ``table``, whose rows are p^e and the
+    five local factors, one column per exponent from min_e up.  The
+    entries are built prime by prime, in chunks of about half a block, so
+    their temporaries stay small; two primes can divide one level, so
+    ``rem`` and ``acc`` take them through ``ufunc.at``."""
+    import numpy as np
+
+    p_all, step_all, col_all = primes
+    first_all = np.maximum(-a % step_all, 2 * p_all - a)  # a multiple, never p itself
+    counts = np.maximum((size - 1 - first_all) // step_all + 1, 0)
+    quot_all = (a + first_all) // step_all  # that multiple over p^min_e
+    ends = np.cumsum(counts)
+    half = SIEVE_BLOCK // 2
+    cuts = np.searchsorted(ends, np.arange(half, int(ends[-1]), half)).tolist()
+    for i, j in zip([0, *cuts], [*cuts, len(p_all)]):
+        n = counts[i:j]
+        at = np.repeat(np.arange(i, j), n)  # the prime of each entry
+        k = np.arange(len(at)) - np.repeat(np.cumsum(n) - n, n)  # its kth multiple
+        idx = first_all[at] + step_all[at] * k
+        quot, p, col = quot_all[at] + k, p_all[at], col_all[at]
+        del at, k
+        live = np.flatnonzero(quot % p == 0)  # the entries with e > min_e
+        quot, p = quot[live] // p[live], p[live]
+        while len(live):
+            col[live] += 1
+            more = quot % p == 0
+            live, quot, p = live[more], quot[more] // p[more], p[more]
+        np.floor_divide.at(rem, idx, table[0, col])
+        for row, factor in zip(acc, table[1:]):
+            np.multiply.at(row, idx, factor[col])
 
 
 # --- the same sieve in pure Python, for small windows --------------------
@@ -183,8 +238,10 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
 
 def _small_sieve(lo: int, hi: int, local, min_e: int, rest):
     """:func:`_sieve` over levels lo..hi (level 0 excluded) in pure Python,
-    as one block of lists: (levels, rows, mask), levels a range.  Same
-    strides, same local factors, same rest step; no numpy."""
+    as one block of lists: (levels, rows, mask), levels a range.  Every
+    prime goes in by strides, as the primes up to STRIDE_BOUND do in
+    :func:`_sieve`; the local factors, the rest step and the output are
+    the same.  No numpy."""
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     a = max(lo, 1)

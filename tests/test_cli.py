@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -82,9 +83,21 @@ _BIG_K = 10**4299 - 2  # 4,299 digits, even; A(k, 1000) and H(k, 1009) have 4,30
     ids=["dim-A", "dim-G", "test-prime-json"],
 )
 def test_answers_past_the_digit_limit_are_refused(capsys, argv):
+    # the line names the limit and the variable a CLI user can set, not
+    # CPython's advice to call sys.set_int_max_str_digits()
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS=0" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_the_digit_limit_advice_works(monkeypatch):
+    # with the variable the error line names, the refused answer prints
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    proc = _child("-m", "dimfactor", "dim", "A", str(_BIG_K), "1000")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.strip()) == 4_301 and proc.stdout.strip().isdigit()
 
 
 def test_test_command(capsys):
@@ -193,14 +206,26 @@ def test_bounds_at_levels_past_float_range(capsys, n, value, code, certificate):
 
 def test_oracle_out_of_rho_budget_is_one_error_line(capsys, monkeypatch):
     # both factors lie above the trial-division primes, so rho must run;
-    # only a command that takes the value is told to pass it
+    # only a command that takes the value is told to pass it.  A cofactor
+    # past 50 digits is named by its digit count and its ends.
     monkeypatch.setattr(arith, "RHO_STEPS", 64)
-    n = str(1000003 * 1000033)
-    for argv, advice in ((["dim", "A", "2", n], False), (["test", "squarefree", "2", n], True)):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert ("explicitly" in err) == advice, argv
+    rng, primes = random.Random(120), []
+    while len(primes) < 2:  # two seeded 60-digit primes
+        p = rng.randrange(10**59, 10**60)
+        if arith.is_probable_prime(p):
+            primes.append(p)
+    big = primes[0] * primes[1]
+    s = str(big)
+    assert len(s) == 120
+    for n, shown in ((1000003 * 1000033, "factoring 1000036000099 takes"),
+                     (big, f"factoring a 120-digit number {s[:5]}...{s[-5:]} takes")):
+        for argv, advice in ((["dim", "A", "2", str(n)], False),
+                             (["test", "squarefree", "2", str(n)], True)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert shown in err and len(err) < 160, err
+            assert ("explicitly" in err) == advice, argv
 
 
 def test_factor_fetches_each_level_once(capsys, monkeypatch):

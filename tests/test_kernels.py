@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from dimfactor.arith import factor_trial
 from dimfactor import sweeps
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
 from dimfactor.errors import InvalidWeightError
-from dimfactor.multfuncs import nu2_star, nu3_star, nu_inf_star, s0_star
+from dimfactor.multfuncs import (
+    local_product, nu2_star, nu3_star, nu_inf_star, s0_star, sharp_local, star_local,
+)
 from dimfactor.sweeps import MAX_SWEEP_HI, primality_sweep, trichotomy_sweep
 from reference import mobius, sharp_tables
 
@@ -280,8 +283,10 @@ def test_sweep_memory_does_not_grow_with_the_window(sweep):
     # numpy reports its allocations to tracemalloc: the peak of a streamed
     # sweep is one block, whatever the window's width.  That block is the
     # sieve's reused buffers (levels, rest, exponents, five rows: 64 B a
-    # level), the gap at one weight and the combination's temporaries, well
-    # under 112 B for each level of a block
+    # level) with, in turn, the scatter's temporaries over at most about
+    # half a block of entries (about 30 B a level) and the gap at one
+    # weight with the combination's temporaries: under 112 B for each
+    # level of a block
     def peak(hi):
         tracemalloc.start()
         try:
@@ -333,3 +338,43 @@ def test_sweeps_past_the_old_weight_cap(sweep):
     # the trichotomies hold at every even weight; these stay inside int64
     rep = sweep(2, 20_000, (2**20 + 2, 10**8 + 2, 10**12))
     assert rep.ok and rep.checked == 3 * 19_999 and rep.exceptions_observed == []
+
+
+_HIGH_WINDOWS = [(10**9, 10**9 + 1_999), (10**12, 10**12 + 1_999)]
+
+
+@pytest.fixture(scope="module")
+def high_factorizations():
+    return {n: factor_trial(n) for lo, hi in _HIGH_WINDOWS for n in range(lo, hi + 1)}
+
+
+def _star_column(f):
+    x, w, y, z, mu = local_product(star_local, f)
+    return x, w, y, z, abs(mu)
+
+
+@pytest.mark.parametrize("block", [kernels.SIEVE_BLOCK, 1000])
+@pytest.mark.parametrize("blocks,column,holds", [
+    (kernels.sharp_blocks, partial(local_product, sharp_local),
+     lambda f: len(f) == 1 and f.is_squarefree()),
+    (kernels.star_blocks, _star_column, lambda f: f.is_squarefree()),
+], ids=["sharp", "star"])
+def test_high_windows_match_the_exact_path(monkeypatch, high_factorizations, block,
+                                           blocks, column, holds):
+    # far above every stride prime, where almost every prime goes in
+    # through the scatter: each level's rows are the local factors
+    # multiplied over its factorization (the star rows end in |mu|), and
+    # its mask is primality (sharp) or squarefreeness (star).  The windows
+    # hold levels with p^2 | N and levels two scattered primes divide.
+    f = high_factorizations
+    scattered = [[(p, e) for p, e in f[n] if p > kernels.STRIDE_BOUND] for n in f]
+    assert any(len(pes) >= 2 for pes in scattered)
+    assert any(e >= 2 for pes in scattered for _, e in pes)
+    monkeypatch.setattr(kernels, "SIEVE_BLOCK", block)
+    for lo, hi in _HIGH_WINDOWS:
+        seen = []
+        for levels, rows, mask in blocks(lo, hi):
+            for n, col, m in zip(levels.tolist(), rows.T.tolist(), mask.tolist()):
+                assert (tuple(col), m) == (column(f[n]), holds(f[n])), n
+                seen.append(n)
+        assert seen == list(range(lo, hi + 1))
