@@ -56,7 +56,7 @@ def twelve_weight_coefficients(k: int) -> tuple[int, int]:
     dimension formulas; it raises InvalidWeightError for any other k.
     The last 128 answers are memoized; a raised call is not cached."""
     if k < 2 or k % 2 != 0:
-        raise InvalidWeightError(f"weight must be a positive even integer, got {k}")
+        raise InvalidWeightError(f"weight must be a positive even integer, got {_brief(k)}")
     return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]
 
 
@@ -319,7 +319,7 @@ def _brief(n: int) -> str:
     """n in full up to 50 digits; past that, its digit count and its
     first and last digits, so that an error line stays one short line."""
     s = str(n)
-    return s if len(s) <= 50 else f"a {len(s)}-digit number {s[:5]}...{s[-5:]}"
+    return s if len(s) <= 50 else f"a {len(s.lstrip('-'))}-digit number {s[:5]}...{s[-5:]}"
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:

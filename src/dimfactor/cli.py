@@ -31,7 +31,7 @@ from fractions import Fraction
 # reached through their module objects, which the package registers
 # lazily, so a request runs only the ones its subcommand calls.
 from . import bounds, detectors, reductions, sweeps
-from .arith import MAX_SWEEP_HI, factor_trial, twelve_weight_coefficients
+from .arith import MAX_SWEEP_HI, _brief, factor_trial, twelve_weight_coefficients
 from .dimensions import DefaultOracle, dim_A, dim_B, dim_delta, dim_G, dim_H
 from .errors import DimfactorError, DomainError, InvalidWeightError
 
@@ -62,13 +62,24 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def _int(s: str, expected: str) -> int:
-    """int(s), or a usage error that says what was expected: argparse would
-    otherwise name the converting helper in its message."""
+def _past_digit_limit(subject: str, doing: str) -> str:
+    """Error text for an int past Python's limit on converting it to or from
+    a string: CPython's own advises a call a CLI user cannot make."""
+    return (f"{subject} more than {sys.get_int_max_str_digits()} digits, Python's "
+            f"limit on {doing} an integer; set PYTHONINTMAXSTRDIGITS=0 to lift it")
+
+
+def _int(s: str, expected: str = "expected an integer", arg: str | None = None) -> int:
+    """int(s) for every integer argument (or part ``s`` of ``arg``), or a
+    usage error that says what was expected, not argparse's helper name,
+    and names a number past the digit limit by its digit count."""
     try:
         return int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{expected}, got {s!r}") from None
+    except ValueError as exc:
+        got = repr(s if arg is None else arg)
+        if "integer string conversion" in str(exc):
+            got = _past_digit_limit(f"{sum(c.isdigit() for c in s)} digits:", "reading")
+        raise argparse.ArgumentTypeError(f"{expected}, got {got}") from None
 
 
 def _even_weight(s: str) -> int:
@@ -88,13 +99,9 @@ def _positive_int(s: str) -> int:
 
 
 def _parse_range(s: str) -> tuple[int, int]:
-    lo, _, hi = s.partition("..")
-    try:
-        return int(lo), int(hi)  # hi is "" when there is no ".."
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"range must look like LO..HI with integers LO and HI, got {s!r}"
-        ) from None
+    lo, _, hi = s.partition("..")  # hi is "" when there is no ".."
+    expected = "range must look like LO..HI with integers LO and HI"
+    return _int(lo, expected, s), _int(hi, expected, s)
 
 
 def _parse_weights(s: str) -> tuple[int, ...]:
@@ -111,7 +118,7 @@ def _oracle_value(value, fetch) -> int:
         except DomainError as exc:
             raise DomainError(f"{exc}; pass the oracle value explicitly instead") from None
     if value < 0:
-        raise ValueError(f"oracle values are nonnegative, got {value}")
+        raise ValueError(f"oracle values are nonnegative, got {_brief(value)}")
     return value
 
 
@@ -131,14 +138,14 @@ def build_parser() -> _Parser:
     p_test.add_argument("kind", choices=("squarefree", "prime"))
     p_test.add_argument("k", type=_even_weight)
     p_test.add_argument("N", type=_positive_int)
-    p_test.add_argument("value", type=int, nargs="?", default=None,
+    p_test.add_argument("value", type=_int, nargs="?", default=None,
                         help="oracle value; computed by the default oracle when omitted")
 
     p_bounds = sub.add_parser("bounds", parents=[common],
                               help="square-divisor localization interval")
     p_bounds.add_argument("k", type=_even_weight)
     p_bounds.add_argument("N", type=_positive_int)
-    p_bounds.add_argument("value", type=int, nargs="?", default=None)
+    p_bounds.add_argument("value", type=_int, nargs="?", default=None)
 
     p_factor = sub.add_parser("factor", parents=[common],
                               help="factor from oracle values")
@@ -146,11 +153,11 @@ def build_parser() -> _Parser:
     p_factor.add_argument("N", type=_positive_int)
     p_factor.add_argument("--k1", type=_even_weight, default=2)
     p_factor.add_argument("--k2", type=_even_weight, default=4)
-    p_factor.add_argument("--a1", type=int, default=None, help="A(k1, N); fetched when omitted")
-    p_factor.add_argument("--a2", type=int, default=None, help="A(k2, N); fetched when omitted")
+    p_factor.add_argument("--a1", type=_int, default=None, help="A(k1, N); fetched when omitted")
+    p_factor.add_argument("--a2", type=_int, default=None, help="A(k2, N); fetched when omitted")
     p_factor.add_argument("--kb", type=_even_weight, default=2, help="weight for the B value (full mode)")
-    p_factor.add_argument("--b", type=int, default=None, help="B(kb, N); fetched when omitted")
-    p_factor.add_argument("--seed", type=int, default=None, help="RNG seed for the factor reductions")
+    p_factor.add_argument("--b", type=_int, default=None, help="B(kb, N); fetched when omitted")
+    p_factor.add_argument("--seed", type=_int, default=None, help="RNG seed for the factor reductions")
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help=f"range conformance sweep (HI <= {MAX_SWEEP_HI})"
@@ -299,13 +306,9 @@ _DISPATCH = {
 
 
 def _error_text(exc: Exception) -> str:
-    """What the one error line says.  An answer past Python's limit on
-    converting an int to a string raises a plain ValueError whose own
-    advice, a call to sys.set_int_max_str_digits(), a CLI user cannot
-    follow; the line names the limit and the variable that lifts it."""
+    """What the one error line says; an answer past the digit limit is a ValueError."""
     if "integer string conversion" in str(exc):
-        return (f"the answer has more than {sys.get_int_max_str_digits()} digits, Python's "
-                "limit on printing an integer; set PYTHONINTMAXSTRDIGITS=0 to lift it")
+        return _past_digit_limit("the answer has", "printing")
     return str(exc)
 
 

@@ -20,13 +20,13 @@ p^min_e, less p itself: the primes up to ``STRIDE_BOUND`` = 16 one at a
 time, as strides, and all the larger ones at once, in one scatter per
 block.  The sieve in pure Python (:func:`_small_sieve`, through
 :func:`small_star_block` and :func:`small_sharp_block`) takes every
-prime by strides and returns a window as one block of lists; it shares
-the local factors, the rest step and the output with the numpy form.
-The sweeps use it on windows of at most ``sweeps.SMALL_WINDOW`` = 2^15
-levels, where importing numpy would cost a fresh process more than the
-whole pure-Python sweep (measured crossover: about 2^15 levels in prime
-mode, about 2^16 in squarefree mode).  A caller that has numpy loaded
-already pays the pure-Python cost on those windows too.
+prime by strides and returns a window as one block of lists.  The sweeps
+use it on windows of at most ``sweeps.SMALL_WINDOW`` = 2^15 levels,
+where importing numpy would cost a fresh process more than the whole
+pure-Python sweep (measured crossover: about 2^15 levels in prime mode,
+about 2^16 in squarefree mode).  A caller with numpy loaded pays the
+pure-Python cost there too.  All three paths read one table,
+:func:`_prime_powers`, of the local factors at p^e, e >= min_e.
 
 * the sharp blocks (:func:`sharp_blocks`, min_e = 1): the four sharp
   functions f# of :func:`~dimfactor.multfuncs.sharp_local` (the Mobius
@@ -61,7 +61,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import KRON12, primes_below
+from .arith import KRON12, _brief, primes_below
 from .dimensions import level_one_newform_dim
 from .multfuncs import sharp_local, star_local, twelve_combination, twelve_newform
 
@@ -122,15 +122,19 @@ def _star_rest(acc: np.ndarray, m: np.ndarray, levels: np.ndarray) -> np.ndarray
     return m == levels
 
 
-def _prime_powers(hi: int, local):
-    """For each prime p <= sqrt(hi): p, its powers [p^0, p^1, ...] up to
-    hi, and the local factor rows ``local(p, e)`` at each exponent, all 1
-    at e = 0.  Both forms of the sieve read their primes from here."""
+def _prime_powers(hi: int, local, min_e: int):
+    """The one table both forms of the sieve read, as two lists: for each
+    prime p <= sqrt(hi) the triple (p, p^min_e, its first column), and a
+    column (p^e, *local(p, e)) for each e >= min_e with p^e <= hi, a
+    prime's columns in order of e.  ``local`` is never called below min_e."""
+    primes, columns = [], []
     for p in primes_below(math.isqrt(hi) + 1):
-        pows = [1]
-        while pows[-1] * p <= hi:
-            pows.append(pows[-1] * p)
-        yield p, pows, [(1,) * 5] + [local(p, e) for e in range(1, len(pows))]
+        pe, e = p**min_e, min_e
+        primes.append((p, pe, len(columns)))
+        while pe <= hi:
+            columns.append((pe, *local(p, e)))
+            pe, e = pe * p, e + 1
+    return primes, columns
 
 
 def _sieve(lo: int, hi: int, local, min_e: int, rest):
@@ -138,60 +142,54 @@ def _sieve(lo: int, hi: int, local, min_e: int, rest):
     excluded), (levels, rows, mask): five multiplicative functions with
     local factors ``local(p, e)``, as rows of shape (5, len(levels)).
 
-    The local-factor rows are tabled once per prime power, and the
-    block's buffers (levels, the rest, the rows, the exponents) allocated
-    once, before the first block; each block refills them in place.  So
-    ``levels`` and ``rows`` are views valid until the next block is drawn:
-    a caller that keeps a block past that copies it.  In each block the
-    exact power p^e, e >= min_e, of every prime p <= sqrt(hi) is divided
-    out of each multiple of p^min_e other than p itself, and its local
-    factor multiplied in.  The primes p <= STRIDE_BOUND do this one at a
-    time, reading e off the strided multiples of p^min_e, p^(min_e+1),
-    ...; the larger ones all at once, in :func:`_scatter`.  ``rest(rows,
-    r, levels)`` multiplies in the factors of what is left, r, and
-    returns the mask: the levels no prime touched.
-    """
+    The columns of :func:`_prime_powers` become one int64 table, rows p^e
+    and the five local factors.  The block's buffers (levels, the rest,
+    the rows, the column indices) are allocated once and refilled for
+    each block, so ``levels`` and ``rows`` are views valid until the next
+    block is drawn: a caller that keeps a block past that copies it.  In
+    each block the exact power p^e, e >= min_e, of every prime p <=
+    sqrt(hi) is divided out of each multiple of p^min_e other than p, and
+    its local factor multiplied in, both read from p^e's column.  The
+    primes p <= STRIDE_BOUND write p^e's column index over the strided
+    multiples of each p^e and gather row by row; the larger ones go in all
+    at once, in :func:`_scatter`.  ``rest(rows, r, levels)`` multiplies in
+    the factors of what is left, r, and returns the mask: the levels no
+    prime touched."""
     import numpy as np
 
     if lo < 0 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+        raise ValueError(f"bad range [{_brief(lo)}, {_brief(hi)}]")
     a0 = max(lo, 1)
-    strided, scattered, columns = [], [], []
-    for p, pows, rows in _prime_powers(hi, local):
-        if p <= STRIDE_BOUND:
-            strided.append((pows, np.array(pows, dtype=np.int64), np.array(rows, dtype=np.int64)))
-        else:  # a column (p^e, *local(p, e)) for each e >= min_e with p^e <= hi
-            scattered.append((p, p**min_e, len(columns)))
-            columns += [(pe, *row) for pe, row in zip(pows[min_e:], rows[min_e:])]
-    primes = np.array(scattered, dtype=np.int64).reshape(-1, 3).T
-    table = np.array(columns, dtype=np.int64).reshape(-1, 6).T
+    primes, columns = _prime_powers(hi, local, min_e)
+    strided = [t for t in primes if t[0] <= STRIDE_BOUND]
+    scattered = np.array(primes[len(strided):], dtype=np.int64).reshape(-1, 3).T
+    table = np.array(columns, dtype=np.int64).reshape(-1, 6).T.copy()
+    pows, *factors = table
     size = min(SIEVE_BLOCK, hi + 1 - a0)
     levels = np.arange(a0, a0 + size, dtype=np.int64)
-    rem, exps = np.empty_like(levels), np.empty_like(levels)
+    rem, cols = np.empty_like(levels), np.empty_like(levels)
     acc = np.empty((5, size), dtype=np.int64)
     for a in range(a0, hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - a)
         if size < len(levels):  # the last block, shorter
-            levels, rem, acc, exps = levels[:size], rem[:size], acc[:, :size], exps[:size]
+            levels, rem, acc, cols = levels[:size], rem[:size], acc[:, :size], cols[:size]
         levels += a - int(levels[0])
         rem[:] = levels
         acc.fill(1)
-        for pows, pow_arr, rows in strided:
-            step = pows[min_e]
-            first = max(-a % step, 2 * pows[1] - a)
+        for p, step, col in strided:
+            first = max(-a % step, 2 * p - a)
             if first >= size:
                 continue
-            for e in range(min_e, len(pows)):
-                start = -a % pows[e]
-                if start >= size:
-                    break
-                exps[start : size : pows[e]] = e
-            e_at = exps[first:size:step]
-            rem[first::step] //= pow_arr[e_at]
-            for row, factor in zip(acc, rows.T):
-                row[first::step] *= factor[e_at]
-        if scattered:
-            _scatter(a, size, primes, table, rem, acc)
+            pe = step
+            while (start := -a % pe) < size:  # none once p^e > hi
+                cols[start:size:pe] = col
+                pe, col = pe * p, col + 1
+            at = cols[first:size:step]
+            rem[first::step] //= pows[at]
+            for row, factor in zip(acc, factors):
+                row[first::step] *= factor[at]
+        if scattered.shape[1]:
+            _scatter(a, size, scattered, table, rem, acc)
         yield levels, acc, rest(acc, rem, levels)
 
 
@@ -200,11 +198,10 @@ def _scatter(a: int, size: int, primes: np.ndarray, table: np.ndarray,
     """Divide out of the rest ``rem`` of the block of levels a, a+1, ...,
     a+size-1 the exact power p^e of each scattered prime p at each of its
     multiples of p^min_e other than p, and multiply its local factors
-    into ``acc``.  ``primes`` holds three rows: each prime p, its stride
-    p^min_e, and its first column in ``table``, whose rows are p^e and the
-    five local factors, one column per exponent from min_e up.  The
-    entries are built prime by prime, in chunks of about half a block, so
-    their temporaries stay small; two primes can divide one level, so
+    into ``acc``.  ``primes`` and ``table`` are the triples (p, p^min_e,
+    first column) and the columns of :func:`_prime_powers`, as int64 rows.
+    The entries are built prime by prime, in chunks of about half a block,
+    so their temporaries stay small; two primes can divide one level, so
     ``rem`` and ``acc`` take them through ``ufunc.at``."""
     import numpy as np
 
@@ -239,31 +236,31 @@ def _scatter(a: int, size: int, primes: np.ndarray, table: np.ndarray,
 def _small_sieve(lo: int, hi: int, local, min_e: int, rest):
     """:func:`_sieve` over levels lo..hi (level 0 excluded) in pure Python,
     as one block of lists: (levels, rows, mask), levels a range.  Every
-    prime goes in by strides, as the primes up to STRIDE_BOUND do in
-    :func:`_sieve`; the local factors, the rest step and the output are
-    the same.  No numpy."""
+    prime goes in by strides, from the same table, each prime's columns
+    read as short rows indexed by e - min_e.  No numpy."""
     if lo < 0 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+        raise ValueError(f"bad range [{_brief(lo)}, {_brief(hi)}]")
     a = max(lo, 1)
     levels = range(a, hi + 1)
     size = len(levels)
     rem = list(levels)
     acc = [[1] * size for _ in range(5)]
-    exps = [0] * size
-    for p, pows, rows in _prime_powers(hi, local):
-        step = pows[min_e]
+    ix = [0] * size  # e - min_e of the exact power p^e at each multiple of p^min_e
+    primes, columns = _prime_powers(hi, local, min_e)
+    for (p, step, col), end in zip(primes, [c for *_, c in primes[1:]] + [len(columns)]):
         first = max(-a % step, 2 * p - a)
         if first >= size:
             continue
-        for e in range(min_e, len(pows)):
-            start = -a % pows[e]
+        pows, *rows = zip(*columns[col:end])
+        for i, pe in enumerate(pows):
+            start = -a % pe
             if start >= size:
                 break
-            exps[start::pows[e]] = [e] * len(range(start, size, pows[e]))
-        e_at = exps[first::step]
-        rem[first::step] = [r // pows[e] for r, e in zip(rem[first::step], e_at)]
-        for row, col in zip(acc, zip(*rows)):
-            row[first::step] = [v * col[e] for v, e in zip(row[first::step], e_at)]
+            ix[start::pe] = [i] * len(range(start, size, pe))
+        at = ix[first::step]
+        rem[first::step] = [r // pows[i] for r, i in zip(rem[first::step], at)]
+        for row, factor in zip(acc, rows):
+            row[first::step] = [v * factor[i] for v, i in zip(row[first::step], at)]
     return levels, acc, rest(acc, rem, levels)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .arith import MAX_SWEEP_HI, twelve_weight_coefficients
+from .arith import MAX_SWEEP_HI, _brief, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
@@ -69,9 +69,9 @@ def check_sweep(lo: int, hi: int, ks) -> None:
     with no weight, at a weight that is not a positive even integer, or at
     a weight given twice, before any block is sieved."""
     if lo < 2 or hi < lo:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+        raise ValueError(f"bad range [{_brief(lo)}, {_brief(hi)}]")
     if hi > MAX_SWEEP_HI:
-        raise ValueError(f"HI = {hi} exceeds the sweep cap {MAX_SWEEP_HI}")
+        raise ValueError(f"HI = {_brief(hi)} exceeds the sweep cap {MAX_SWEEP_HI}")
     if not ks:
         raise ValueError("no weight given")
     for i, k in enumerate(ks):
@@ -79,7 +79,7 @@ def check_sweep(lo: int, hi: int, ks) -> None:
         if k in ks[:i]:
             raise ValueError(f"weight {k} is given more than once")
         if (k - 1) * hi >= 1 << 62:
-            raise ValueError(f"weight {k} is too large for exact int64 tables up to {hi}")
+            raise ValueError(f"weight {_brief(k)} is too large for exact int64 tables up to {hi}")
 
 
 def _off_pattern(g, holds) -> set[int]:

@@ -69,10 +69,13 @@ def test_level_one_is_refused_by_the_library_rule(capsys, argv):
 _BIG_K = 10**4299 - 2  # 4,299 digits, even; A(k, 1000) and H(k, 1009) have 4,301
 
 
-@pytest.mark.skipif(
+_default_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() != 4300,
     reason="needs Python's default 4,300-digit int-to-string limit",
 )
+
+
+@_default_digit_limit
 @pytest.mark.parametrize(
     "argv",
     [
@@ -98,6 +101,69 @@ def test_the_digit_limit_advice_works(monkeypatch):
     proc = _child("-m", "dimfactor", "dim", "A", str(_BIG_K), "1000")
     assert proc.returncode == 0 and proc.stderr == ""
     assert len(proc.stdout.strip()) == 4_301 and proc.stdout.strip().isdigit()
+
+
+_NINES = "9" * 5_000  # past the limit on reading an int from a string
+
+
+@_default_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A", "2", _NINES],
+        ["sweep", f"2..{_NINES}"],
+        ["test", "prime", "2", "97", _NINES],
+        ["bounds", "2", "12493", _NINES],
+        ["factor", "full", "72", "--a1", _NINES],
+        ["factor", "full", "72", "--a2", _NINES],
+        ["factor", "full", "72", "--b", _NINES],
+        ["factor", "full", "72", "--seed", _NINES],
+    ],
+    ids=["dim-level", "sweep-range", "test-value", "bounds-value", "a1", "a2", "b", "seed"],
+)
+def test_arguments_past_the_digit_limit_are_named_briefly(capsys, argv):
+    # every integer argument is read by one converter: past the limit it
+    # names the digit count and the variable that lifts the limit, and
+    # does not echo the digits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and len(errors[0]) < 200, err
+    assert "5000 digits" in errors[0] and "PYTHONINTMAXSTRDIGITS=0" in errors[0]
+    assert "9" * 50 not in err
+
+
+_LONG_ODD = str(10**4000 + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "A", _LONG_ODD, "11"],
+        ["test", "prime", "2", "97", f"-{_LONG_ODD}"],
+        ["factor", "full", "72", f"--b=-{_LONG_ODD}"],
+        ["sweep", f"2..{_LONG_ODD}"],
+        ["sweep", "2..100", "--k", _LONG_ODD[:-1] + "0"],
+    ],
+    ids=["odd-weight", "negative-value", "negative-b", "sweep-cap", "sweep-weight"],
+)
+def test_refused_long_integers_are_named_briefly(capsys, argv):
+    # a 4,001-digit integer that a rule refuses is named by its digit
+    # count and its ends, in one short line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and len(errors[0]) < 200 and "4001-digit number" in errors[0], err
+
+
+def test_a_lifted_digit_limit_reaches_the_brief_sweep_cap(monkeypatch):
+    # with the limit lifted the range parses, and check_sweep refuses it
+    # in one line that names HI by its digit count
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    proc = _child("-m", "dimfactor", "sweep", f"2..{_NINES}")
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr.startswith("error: HI = a 5000-digit number") and "sweep cap" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
 
 
 def test_test_command(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -282,7 +283,7 @@ def _check_small_blocks(small, blocks, windows):
 def test_sweep_memory_does_not_grow_with_the_window(sweep):
     # numpy reports its allocations to tracemalloc: the peak of a streamed
     # sweep is one block, whatever the window's width.  That block is the
-    # sieve's reused buffers (levels, rest, exponents, five rows: 64 B a
+    # sieve's reused buffers (levels, rest, column indices, five rows: 64 B a
     # level) with, in turn, the scatter's temporaries over at most about
     # half a block of entries (about 30 B a level) and the gap at one
     # weight with the combination's temporaries: under 112 B for each
@@ -333,6 +334,26 @@ def test_sweeps_refuse_a_repeated_weight_before_building_tables(monkeypatch, swe
         sweep(2, 1000, ks)
 
 
+_LONG = 10**4000
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: sweeps.check_sweep(_LONG, 2, (2,)),
+    lambda: sweeps.check_sweep(2, _LONG, (2,)),
+    lambda: sweeps.check_sweep(2, 100, (_LONG,)),
+    lambda: kernels.small_star_block(_LONG, 2),
+    lambda: kernels.small_sharp_block(_LONG, 3),
+    lambda: next(kernels.star_blocks(_LONG, 2)),
+    lambda: next(kernels.sharp_blocks(_LONG, 3)),
+], ids=["bad-range", "cap", "weight", "small-star", "small-sharp", "star", "sharp"])
+def test_range_errors_name_long_integers_briefly(refused):
+    # a 4,001-digit bound or weight is named by its digit count and its
+    # first and last digits, so the error stays one short line
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert "a 4001-digit number" in str(info.value) and len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
 def test_sweeps_past_the_old_weight_cap(sweep):
     # the trichotomies hold at every even weight; these stay inside int64
@@ -378,3 +399,34 @@ def test_high_windows_match_the_exact_path(monkeypatch, high_factorizations, blo
                 assert (tuple(col), m) == (column(f[n]), holds(f[n])), n
                 seen.append(n)
         assert seen == list(range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("local,min_e,blocks,small", [
+    (sharp_local, 1, "sharp_blocks", "small_sharp_block"),
+    (star_local, 2, "star_blocks", "small_star_block"),
+], ids=["sharp", "star"])
+@pytest.mark.parametrize("lo,hi", [(2, 3), (2, 1_000), (989_001, 999_000), (10**12, 10**12 + 100)])
+def test_the_prime_power_table_holds_only_the_local_factors_read(monkeypatch, local, min_e,
+                                                                 blocks, small, lo, hi):
+    # one table for every path: a column (p^e, *local(p, e)) for each prime
+    # p <= sqrt(hi) and each e >= min_e with p^e <= hi, each prime's from
+    # its first column on, and local is never asked for an exponent below
+    # min_e, neither here nor by either form of the sieve
+    calls = []
+
+    def recorded(p, e):
+        calls.append((p, e))
+        return local(p, e)
+
+    want = [(p, e) for p in _sieve_primes(math.isqrt(hi))
+            for e in range(min_e, hi.bit_length()) if p**e <= hi]
+    primes, columns = kernels._prime_powers(hi, recorded, min_e)
+    assert calls == want
+    assert columns == [(p**e, *local(p, e)) for p, e in want]
+    assert primes == [(p, p**min_e, i) for i, (p, e) in enumerate(want) if e == min_e]
+    calls.clear()
+    monkeypatch.setattr(kernels, local.__name__, recorded)
+    for _ in getattr(kernels, blocks)(lo, hi):
+        pass
+    getattr(kernels, small)(lo, hi)
+    assert calls == 2 * want
