@@ -13,7 +13,8 @@ submodule is registered in ``sys.modules`` through
 attributes, whether through the package (``dimfactor.dim_A``), the
 submodule (``dimfactor.arith``) or an import of it; so a CLI request runs
 only the layers its subcommand uses.  The CLI front end, ``cli``, is
-imported the usual way, by ``python -m dimfactor`` and the console script.
+imported the usual way, by ``dimfactor.__main__.run``, the entry of both
+``python -m dimfactor`` and the console script.
 ``python -X importtime -m dimfactor ...`` shows the standard-library
 modules a request loads.  The submodules themselves run outside the
 import statements it times, so they are not listed there: after a

@@ -315,11 +315,25 @@ _TRIAL_PRIMES = primes_below(1 << 10)
 RHO_STEPS = 1 << 21
 
 
+# log10(2) * 10^38, rounded: (b - 1) * log10(2) is nowhere near an integer
+# for any bit length b an int in memory can have, so this floors it exactly.
+_LOG10_2 = 30102999566398119521373889472449302677
+
+
 def _brief(n: int) -> str:
-    """n in full up to 50 digits; past that, its digit count and its
-    first and last digits, so that an error line stays one short line."""
-    s = str(n)
-    return s if len(s) <= 50 else f"a {len(s.lstrip('-'))}-digit number {s[:5]}...{s[-5:]}"
+    """n in full up to 50 characters; past that, its digit count and the first
+    five characters and last five digits of its decimal form, so that an
+    error line stays one short line.  Past 50 characters no decimal string
+    is made: the count comes from the bit length and the ends by division,
+    so that it works past Python's limit on converting an int to a
+    string."""
+    if -10**49 < n < 10**50:
+        return str(n)
+    m = abs(n)
+    digits = (m.bit_length() - 1) * _LOG10_2 // 10**38 + 1  # those of 2^(b - 1)
+    digits += m >= 10**digits
+    sign, lead = ("-", 4) if n < 0 else ("", 5)
+    return f"a {digits}-digit number {sign}{m // 10**(digits - lead)}...{m % 10**5:05d}"
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:

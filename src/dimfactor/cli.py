@@ -13,6 +13,11 @@ under Python's 4,300-digit limit on converting an int to a string.
 suspicious when the oracle value is one no truthful oracle gives; it is
 still printed, with ``suspicious`` set in the JSON and a ``warning:``
 line on stderr.
+A reader that has closed its end of stdout gets exit 1 and no traceback.
+``main`` returns the exit code and never ends the process; the process
+entry, ``dimfactor.__main__.run``, ends it right after flushing the
+output, since the interpreter's teardown costs a request more time than
+its arithmetic.
 ``factor``, the one subcommand that takes --seed, draws its random bases
 from ``random.Random(--seed)``.  An oracle value left off the command
 line is computed by the built-in oracle, within the rho step bound
@@ -325,7 +330,3 @@ def main(argv=None) -> int:
         # ValueError (DomainError, InconsistentInputsError)
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_FAILURE if isinstance(exc, DimfactorError) else EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

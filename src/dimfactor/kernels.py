@@ -298,17 +298,6 @@ def small_star_block(lo: int, hi: int):
     return _small_sieve(lo, hi, star_local, 2, _small_star_rest)
 
 
-def small_minus_G_rows(levels, rows) -> tuple[list, ...]:
-    """:func:`minus_G_rows` on lists, as four new lists."""
-    k4, k3 = KRON12
-    return (
-        [n - v for n, v in zip(levels, rows[0])],
-        [1 - v for v in rows[1]],
-        [k4[n % 12] - v for n, v in zip(levels, rows[2])],
-        [k3[n % 12] - v for n, v in zip(levels, rows[3])],
-    )
-
-
 def sharp_blocks(lo: int, hi: int):
     """The sharp sieve over levels lo..hi, block by block: rows N*s0#,
     nu_inf#, nu2#, nu3#, mu, and primality as the mask.  The strides of p

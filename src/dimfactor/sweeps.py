@@ -8,27 +8,26 @@ sieves the window alone and compares each block as soon as it is sieved,
 keeping only counters, violations and catalogued pairs; no sweep reads
 whole tables.  A window of at most SMALL_WINDOW = 2^15 levels is sieved
 and compared in pure Python as one block, so a sweep that narrow never
-imports numpy; a wider one runs in numpy.  A block's rows become the gap
-rows, so ``twelve_combination`` (``twelve_newform`` with -mu as a fifth
-row) gives its gap at each weight.  Both modes and both forms run one
-comparison: the gap's sign must be 0 where the characterization
-holds, +1 elsewhere, and at each pair of the detectors' catalogue
-(``SQUAREFREE_EXCEPTIONS`` or ``PRIMALITY_EXCEPTIONS``) the sign
-catalogued there.  Violations must be empty; the catalogued pairs in
-range are reported separately.
+imports numpy; a wider one runs in numpy.  A numpy block's rows become
+the gap rows, so ``twelve_combination`` (``twelve_newform`` with -mu as a
+fifth row) gives its gap at each weight.  A block of lists is left as it
+is: the form is linear, so its coefficients at a weight are its values
+at the unit rows, read once, and the gap takes one pass per weight.
+Both modes and both forms run one comparison: the gap's sign must be 0
+where the characterization holds, +1 elsewhere, and at each pair of the
+detectors' catalogue (``SQUAREFREE_EXCEPTIONS`` or
+``PRIMALITY_EXCEPTIONS``) the sign catalogued there.  Violations must be
+empty; the catalogued pairs in range are reported separately.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
-from .arith import MAX_SWEEP_HI, _brief, twelve_weight_coefficients
+from .arith import KRON12, MAX_SWEEP_HI, _brief, twelve_weight_coefficients
 from .detectors import PRIMALITY_EXCEPTIONS, SQUAREFREE_EXCEPTIONS
 from .dimensions import level_one_newform_dim
 from .kernels import (
     minus_G_rows,
     sharp_blocks,
-    small_minus_G_rows,
     small_sharp_block,
     small_star_block,
     star_blocks,
@@ -149,21 +148,33 @@ def _h_minus_b(levels, rows):
     return lambda k: twelve_newform(k, *rows) - 12 * level_one_newform_dim(k)
 
 
+def _small_gap(levels, rows, c, b: int) -> list:
+    """Over a block of lists, in one pass: the sum of c[i] times gap row
+    i, less b.  The gap rows are (N, 1, (-4|N), (-3|N)) less the block's
+    first four rows, and -mu, the block's fifth row negated."""
+    c0, c1, c2, c3, c4 = c
+    k4, k3 = KRON12
+    # the constant terms and those that depend on N mod 12 alone
+    by_residue = [c1 + c2 * u + c3 * v - b for u, v in zip(k4, k3)]
+    return [c0 * (n - x) + by_residue[n % 12] - c1 * w - c2 * y - c3 * z - c4 * m
+            for n, x, w, y, z, m in zip(levels, *rows)]
+
+
+def _unit_values(form, k: int, width: int) -> list:
+    """The coefficients of a linear form in ``width`` rows at weight k:
+    its values at the unit rows."""
+    return [form(k, *(int(i == j) for j in range(width))) for i in range(width)]
+
+
 def _small_g_minus_a(levels, rows):
-    """:func:`_g_minus_a` over a block of lists."""
-    gaps = small_minus_G_rows(levels, rows)
-    return lambda k: list(map(partial(twelve_combination, k), *gaps))
+    """:func:`_g_minus_a` over a block of lists, in one pass per weight."""
+    return lambda k: _small_gap(levels, rows, [*_unit_values(twelve_combination, k, 4), 0], 0)
 
 
 def _small_h_minus_b(levels, rows):
-    """:func:`_h_minus_b` over a block of lists."""
-    gaps = (*small_minus_G_rows(levels, rows), [-m for m in rows[4]])
-
-    def at(k):
-        b1 = 12 * level_one_newform_dim(k)
-        return [v - b1 for v in map(partial(twelve_newform, k), *gaps)]
-
-    return at
+    """:func:`_h_minus_b` over a block of lists, in one pass per weight."""
+    return lambda k: _small_gap(levels, rows, _unit_values(twelve_newform, k, 5),
+                                12 * level_one_newform_dim(k))
 
 
 def trichotomy_sweep(lo: int, hi: int, ks) -> SweepReport:

@@ -514,6 +514,68 @@ def test_console_entry_point():
     assert out.returncode == 0 and out.stdout.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["dim", "A", "2", "11"], 0),
+        (["test", "squarefree", "2", "12", "3"], 1),
+        (["test", "squarefree", "2", "4", "--json"], 2),
+        (["sweep", "2..10", "--k", "3"], 64),
+        (["--help"], 0),
+        (["sweep", "2..3000", "--k", "2,4,6,12", "--mode", "prime", "--json"], 0),
+    ],
+    ids=["exit-0", "exit-1-suspicious", "exit-2", "exit-64", "help", "sweep-json"],
+)
+def test_process_entry_keeps_every_output_byte(capsys, monkeypatch, argv, expected_code):
+    # the process entry flushes and ends the process itself: it must give
+    # the same stdout, stderr and exit code as main does in process, with
+    # stdout block-buffered as it is in a pipe
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code and out + err
+    proc = _child("-m", "dimfactor", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_the_console_script_runs_the_process_entry():
+    # the [project.scripts] target, which an installed console script calls
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as f:
+        target = re.search(r'^dimfactor = "([\w.]+):(\w+)"$', f.read(), re.M)
+    module, func = target.groups()
+    assert (module, func) == ("dimfactor.__main__", "run")
+    script = f"import sys; sys.argv[0] = 'dimfactor'; from {module} import {func}; {func}()"
+    out = _child("-c", script, "dim", "A", "2", "11")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "1\n", "")
+    out = _child("-c", script, "sweep", "2..10", "--k", "3")
+    assert out.returncode == 64 and out.stdout == ""
+    assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == [
+        "error: argument --k: weight must be a positive even integer, got 3"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv", [["dim", "A", "2", "11"], ["sweep", "2..30000", "--k", "2,4,6,12", "--mode", "prime"]],
+    ids=["short", "sweep"],
+)
+def test_a_closed_stdout_is_exit_1_without_a_traceback(argv):
+    # the reader's end of stdout is closed before the request starts, so
+    # every write to it fails: unbuffered, in the print; buffered, in the
+    # flush before the process ends
+    root = os.path.dirname(os.path.dirname(dimfactor.__file__))
+    env = {**os.environ, "PYTHONPATH": root}
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dimfactor", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env={**env, **unbuffered})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
+
+
 # runs the CLI on argv, then prints whether numpy and dataclasses were ever
 # imported, and the dimfactor submodules that ran: a lazily registered one
 # that never ran is not of type ModuleType, a check that reads no attribute

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dimfactor import kernels
+from dimfactor import arith, kernels
 from dimfactor.arith import factor_trial
 from dimfactor import sweeps
 from dimfactor.dimensions import dim_A, dim_B, dim_G, dim_H
@@ -335,23 +335,34 @@ def test_sweeps_refuse_a_repeated_weight_before_building_tables(monkeypatch, swe
 
 
 _LONG = 10**4000
+_PAST_LIMIT = 10**5000  # past the limit on converting an int to a string
 
 
-@pytest.mark.parametrize("refused", [
-    lambda: sweeps.check_sweep(_LONG, 2, (2,)),
-    lambda: sweeps.check_sweep(2, _LONG, (2,)),
-    lambda: sweeps.check_sweep(2, 100, (_LONG,)),
-    lambda: kernels.small_star_block(_LONG, 2),
-    lambda: kernels.small_sharp_block(_LONG, 3),
-    lambda: next(kernels.star_blocks(_LONG, 2)),
-    lambda: next(kernels.sharp_blocks(_LONG, 3)),
-], ids=["bad-range", "cap", "weight", "small-star", "small-sharp", "star", "sharp"])
-def test_range_errors_name_long_integers_briefly(refused):
+def _refuse(message):
+    raise ValueError(message)
+
+
+@pytest.mark.parametrize("refused, digits", [
+    (lambda: sweeps.check_sweep(_LONG, 2, (2,)), 4001),
+    (lambda: sweeps.check_sweep(2, _LONG, (2,)), 4001),
+    (lambda: sweeps.check_sweep(2, 100, (_LONG,)), 4001),
+    (lambda: kernels.small_star_block(_LONG, 2), 4001),
+    (lambda: kernels.small_sharp_block(_LONG, 3), 4001),
+    (lambda: next(kernels.star_blocks(_LONG, 2)), 4001),
+    (lambda: next(kernels.sharp_blocks(_LONG, 3)), 4001),
+    (lambda: kernels.small_star_block(_PAST_LIMIT, 2), 5001),
+    (lambda: sweeps.check_sweep(2, _PAST_LIMIT, (2,)), 5001),
+    (lambda: _refuse(arith._brief(_PAST_LIMIT)), 5001),
+], ids=["bad-range", "cap", "weight", "small-star", "small-sharp", "star", "sharp",
+        "small-star-past-limit", "cap-past-limit", "brief-past-limit"])
+def test_range_errors_name_long_integers_briefly(refused, digits):
     # a 4,001-digit bound or weight is named by its digit count and its
-    # first and last digits, so the error stays one short line
+    # first and last digits, so the error stays one short line; so is a
+    # number past the limit on converting an int to a string
     with pytest.raises(ValueError) as info:
         refused()
-    assert "a 4001-digit number" in str(info.value) and len(str(info.value)) < 200
+    assert f"a {digits}-digit number 10000...00000" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("sweep", [trichotomy_sweep, primality_sweep])
