@@ -19,8 +19,9 @@ import sys
 
 def run() -> None:
     """Run one CLI request on ``sys.argv`` and end the process with its
-    exit code.  A reader that closed its end of stdout (``dimfactor ... |
-    head -c 0``) gets exit 1 and no traceback."""
+    exit code.  A failed write to stdout is exit 1 and no traceback: a
+    reader that closed its end (``dimfactor ... | head -c 0``) gets
+    nothing more, any other failure (a full disk) one ``error:`` line."""
     gc.disable()
     from .cli import EXIT_FAILURE, main
 
@@ -28,8 +29,15 @@ def run() -> None:
         code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:
+    except BrokenPipeError:  # the reader is gone: nothing to tell it
         code = EXIT_FAILURE
+    except OSError as exc:  # any other failed write, such as to a full disk
+        code = EXIT_FAILURE
+        try:
+            print(f"error: cannot write the output: {exc.strerror or exc}",
+                  file=sys.stderr, flush=True)
+        except OSError:  # stderr fails too
+            pass
     os._exit(code)
 
 

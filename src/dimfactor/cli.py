@@ -1,27 +1,28 @@
-"""Command-line front end.
+"""Dimensions of spaces of modular forms, and the squarefree and
+primality tests and factoring reductions built on them.
 
-Subcommands: dim, test, bounds, factor, sweep.  Results go to stdout
-(plain text, or JSON under the global --json), diagnostics to stderr.
-Exit codes: 0 for success or a determinate verdict, 1 for a failed
-computation (a ``DimfactorError``: the rho budget spent, a reduction
-out of rounds, inconsistent oracle values) and for suspicious verdicts,
-2 for an exception-case verdict, 64 for a refused request: a malformed
-argument, a request the library's own rules refuse (a ``ValueError``,
-such as a level below 2 for the tests), or an answer too large to print
-under Python's 4,300-digit limit on converting an int to a string.
-``main`` maps exceptions to exit codes in one place.  A verdict is
-suspicious when the oracle value is one no truthful oracle gives; it is
-still printed, with ``suspicious`` set in the JSON and a ``warning:``
-line on stderr.
-A reader that has closed its end of stdout gets exit 1 and no traceback.
-``main`` returns the exit code and never ends the process; the process
-entry, ``dimfactor.__main__.run``, ends it right after flushing the
-output, since the interpreter's teardown costs a request more time than
-its arithmetic.
-``factor``, the one subcommand that takes --seed, draws its random bases
-from ``random.Random(--seed)``.  An oracle value left off the command
-line is computed by the built-in oracle, within the rho step bound
-``arith.RHO_STEPS``; past it the command exits 1 and asks for the value.
+Subcommands: dim, test, bounds, factor and sweep; "dimfactor COMMAND
+--help" describes each.  Results go to stdout, as plain text or, with
+--json, as JSON; errors and warnings go to stderr, one line each.
+
+Exit codes: 0 for success or a determinate verdict; 1 for a failed
+computation (the built-in oracle gave up, a reduction ran out of
+rounds, or the oracle values are inconsistent), for a suspicious
+verdict, and for output that could not be written; 2 for an
+exception-case verdict; 64 for a refused request: a malformed argument,
+a request the library's rules refuse (such as a level below 2 for the
+tests), or an answer too large to print under Python's 4,300-digit
+limit on converting an integer to a string.
+
+A verdict is suspicious when the oracle value is one no truthful oracle
+gives; it is still printed, with "suspicious" set in the JSON and a
+"warning:" line on stderr.
+
+An oracle value left off the command line is computed by the built-in
+oracle, which factors N; its rho method gives up after a fixed number of
+steps on one cofactor (about 2 s), and the command then exits 1 and asks
+for the value.  With --seed, an option of factor alone, factor draws the
+same random bases on every run.
 """
 
 from __future__ import annotations
@@ -318,6 +319,10 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one CLI request on ``argv`` and return its exit code, never
+    ending the process (``dimfactor.__main__.run`` does that).  It maps
+    exceptions to exit codes in one place: a ``DimfactorError`` to 1, any
+    other ``ValueError`` to 64.  The rho give-up is ``arith.RHO_STEPS``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

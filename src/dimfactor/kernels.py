@@ -40,9 +40,11 @@ pure-Python cost there too.  All three paths read one table,
 
 :func:`build_star_tables` fills whole star tables from the star blocks,
 and :func:`dimension_tables` combines them, per weight, with the sharp
-rows it fills itself over the same levels.  No sweep reads whole tables:
-the sweeps stream their window, and the tables serve only as the tests'
-references and the benchmark's span targets.  G and A are
+rows it fills itself over the same levels.  Whole tables are plain
+namespaces (``types.SimpleNamespace``) of arrays, the format of the
+tests' own whole tables.  No sweep reads them: the sweeps stream their
+window, and the tables serve only as the tests' references and the
+benchmark's span targets.  G and A are
 :func:`~dimfactor.multfuncs.twelve_combination`, the one closed form the
 exact path evaluates too, applied to arrays: G at (N, 1, (-4|N), (-3|N)),
 A at the star rows; B is :func:`~dimfactor.multfuncs.twelve_newform` at
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .arith import KRON12, _brief, primes_below
@@ -330,23 +333,14 @@ def _fill(lo: int, hi: int, blocks):
     return (*rows, mask)
 
 
-class StarTables:
-    """Star sieve output over levels lo..hi (index i is level lo + i):
-    the integer N*s0*(N), the three other starred values, and whether each
-    level is squarefree."""
-
-    def __init__(self, lo: int, hi: int, ns0: np.ndarray, nu_inf: np.ndarray,
-                 nu2: np.ndarray, nu3: np.ndarray, squarefree: np.ndarray):
-        self.lo, self.hi = lo, hi
-        self.ns0, self.nu_inf, self.nu2, self.nu3 = ns0, nu_inf, nu2, nu3
-        self.squarefree = squarefree
-
-
-def build_star_tables(lo: int, hi: int) -> StarTables:
+def build_star_tables(lo: int, hi: int) -> SimpleNamespace:
     """Sieve the starred functions and squarefreeness over levels lo..hi,
-    in blocks, without touching any level below lo."""
+    in blocks, without touching any level below lo, as a namespace of
+    lo, hi and int64 rows ns0 (the integer N*s0*(N)), nu_inf, nu2, nu3
+    and the bool row squarefree; index i is level lo + i."""
     ns0, nu_inf, nu2, nu3, _, squarefree = _fill(lo, hi, star_blocks(lo, hi))
-    return StarTables(lo, hi, ns0, nu_inf, nu2, nu3, squarefree)
+    return SimpleNamespace(lo=lo, hi=hi, ns0=ns0, nu_inf=nu_inf, nu2=nu2, nu3=nu3,
+                           squarefree=squarefree)
 
 
 def mobius_invert(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -385,25 +379,16 @@ def minus_G_rows(levels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows[:4]
 
 
-class DimensionTables:
-    """12 times the four dimension quantities at one weight, for every
-    level up to the limit.  Scaling by 12 keeps everything in int64."""
-
-    def __init__(self, k: int, limit: int, G12: np.ndarray, A12: np.ndarray,
-                 B12: np.ndarray, H12: np.ndarray):
-        self.k, self.limit = k, limit
-        self.G12, self.A12, self.B12, self.H12 = G12, A12, B12, H12
-
-
-def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
-    """All four dimension quantities (times 12) at weight k from star
-    tables over 0..limit: G is the closed form at (N, 1, (-4|N), (-3|N)),
-    A the closed form at the star rows, and B ``twelve_newform`` at the
-    sharp rows and mu, filled here from :func:`sharp_blocks` over the same
-    levels (0 at level 0, where every row reads 0).  Index 1 of A12/B12
-    carries the level-one dimension so the divisor-sum identity holds
-    across the whole range.
-    """
+def dimension_tables(k: int, tables: SimpleNamespace) -> SimpleNamespace:
+    """12 times the four dimension quantities at weight k, as a namespace
+    of k, limit and int64 rows G12, A12, B12, H12 indexed by level
+    0..limit (scaling by 12 keeps them exact), from
+    :func:`build_star_tables` over 0..limit.  G is the closed form at
+    (N, 1, (-4|N), (-3|N)), A the closed form at the star rows, and B
+    ``twelve_newform`` at the sharp rows and mu, filled here from
+    :func:`sharp_blocks` over the same levels (0 at level 0, where every
+    row reads 0).  Index 1 of A12/B12 carries the level-one dimension so
+    the divisor-sum identity holds across the whole range."""
     import numpy as np
 
     b1_12 = 12 * level_one_newform_dim(k)  # checks the weight
@@ -418,4 +403,4 @@ def dimension_tables(k: int, tables: StarTables) -> DimensionTables:
     B12 = twelve_newform(k, x, w, y, z, mu)
     H12 = G12 - b1_12
     G12[0] = A12[0] = H12[0] = 0
-    return DimensionTables(k=k, limit=limit, G12=G12, A12=A12, B12=B12, H12=H12)
+    return SimpleNamespace(k=k, limit=limit, G12=G12, A12=A12, B12=B12, H12=H12)

@@ -54,7 +54,8 @@ class SweepReport:
     behaving as catalogued.  ``vars(report)`` holds every field."""
 
     def __init__(self, mode: str, lo: int, hi: int, ks: tuple[int, ...]):
-        self.mode, self.lo, self.hi, self.ks, self.checked = mode, lo, hi, ks, 0
+        self.mode, self.lo, self.hi, self.ks = mode, lo, hi, ks
+        self.checked = len(ks) * (hi - lo + 1)  # every (k, N) pair
         self.violations: list[tuple[int, int, int, int]] = []
         self.exceptions_observed: list[tuple[int, int]] = []
 
@@ -127,7 +128,6 @@ def _compare(mode: str, lo: int, hi: int, ks, small, wide, catalogue) -> SweepRe
                 got, expected = (v > 0) - (v < 0), signs.get(i, 0 if holds[i] else 1)
                 if got != expected:
                     found[k].append((k, a + i, expected, got))
-            report.checked += len(levels)
     report.violations = [v for k in ks for v in found[k]]
     return report
 

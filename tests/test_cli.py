@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -576,6 +577,36 @@ def test_a_closed_stdout_is_exit_1_without_a_traceback(argv):
         assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_is_exit_1_with_one_error_line():
+    # every write to /dev/full fails with ENOSPC: unbuffered, in the
+    # print; buffered, in the flush before the process ends
+    root = os.path.dirname(os.path.dirname(dimfactor.__file__))
+    env = {**os.environ, "PYTHONPATH": root}
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "dimfactor", "dim", "A", "2", "11"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env={**env, **unbuffered})
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert proc.returncode == 1, unbuffered
+        assert len(errors) == 1 and os.strerror(errno.ENOSPC) in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr, unbuffered
+
+
+def test_help_states_the_user_contract(capsys):
+    # the description is the cli module docstring: it speaks to users, so
+    # it names every exit code and no maintainer detail
+    code, out, _ = run_cli(capsys, "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    for exit_code in (0, 1, 2, 64):
+        assert f"{exit_code} for " in text, exit_code
+    for detail in ("__main__", "RHO_STEPS", "``"):
+        assert detail not in out, detail
+
+
 # runs the CLI on argv, then prints whether numpy and dataclasses were ever
 # imported, and the dimfactor submodules that ran: a lazily registered one
 # that never ran is not of type ModuleType, a check that reads no attribute
@@ -770,3 +801,32 @@ def test_benchmark_trace_targets_resolve():
     for _, module, attr in spans.TARGETS:
         assert module in sys.modules, module
         assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+
+
+# builds whole tables with every benchmark span installed and switched
+# on, then prints the tracer's summary as JSON
+_TRACED_TABLES = """
+import importlib.util, json, sys
+import dimfactor.cli
+from dimfactor import kernels
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.on = True
+kernels.dimension_tables(4, kernels.build_star_tables(0, 5000))
+summary = tracer.summary()
+print(json.dumps({"counters": summary["counters"], "peaks": summary["peaks"]}))
+"""
+
+
+def test_traced_benchmark_runs_read_the_whole_tables():
+    # a traced run hands both tables to the tracer, which reads their
+    # arrays and limit; in a child, so the wrappers stay out of this process
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = _child("-c", _TRACED_TABLES, os.path.join(root, "perfbench", "spans.py"))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["counters"]["sweeps.entries"] == 5001
+    assert summary["peaks"]["kernels.table_bytes"] > 0

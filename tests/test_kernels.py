@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_build_rejects_bad_limit():
         kernels.build_star_tables(5, 4)
     with pytest.raises(ValueError):
         kernels.build_star_tables(-1, 4)
+
+
+def test_whole_tables_are_plain_namespaces(np_tables):
+    # the format of the sharp tables in tests/reference.py, with int64 rows
+    dims = kernels.dimension_tables(4, np_tables)
+    assert type(np_tables) is type(dims) is SimpleNamespace
+    assert list(vars(np_tables)) == ["lo", "hi", "ns0", "nu_inf", "nu2", "nu3", "squarefree"]
+    assert list(vars(dims)) == ["k", "limit", "G12", "A12", "B12", "H12"]
+    assert (dims.k, dims.limit) == (4, np_tables.hi)
+    assert np_tables.squarefree.dtype == bool
+    for row in (np_tables.ns0, np_tables.nu3, dims.G12, dims.H12):
+        assert row.dtype == np.int64 and len(row) == LIMIT + 1
 
 
 def test_dimension_tables_all_multiples_of_twelve(np_tables):
