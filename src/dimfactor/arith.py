@@ -54,7 +54,10 @@ def twelve_weight_coefficients(k: int) -> tuple[int, int]:
     +3 or -3 as 4 divides k or not, 12 * c3 is 4, 0 or -4 as k is 0, 1 or
     2 mod 3.  The one definition of the weight coefficients of the closed
     dimension formulas; it raises InvalidWeightError for any other k.
-    The last 128 answers are memoized; a raised call is not cached."""
+    The last 128 answers are memoized; a raised call is not cached.  The
+    key is the weight with its type: with an untyped key, 12.0 and
+    Fraction(12), which raise, would be answered from the entry of
+    numpy.int64(12)."""
     if k < 2 or k % 2 != 0:
         raise InvalidWeightError(f"weight must be a positive even integer, got {_brief(k)}")
     return (3 if k % 4 == 0 else -3), _TWELVE_C3[k % 3]

@@ -116,9 +116,7 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
     except OverflowError:
         depth = math.inf
     if depth > 2.0:
-        return BoundsReport(
-            k=k, n=N, T0=t0, T=t, curly_L=L, certificate=NO_LARGE_SQUARE_DIVISOR
-        )
+        return BoundsReport(k, N, t0, t, L, NO_LARGE_SQUARE_DIVISOR)
     # x0 < L*t/6, so for t below 2^1000 every root is a finite float
     if t.bit_length() > 1000:
         raise DomainError("T is past float range; the interval roots cannot be formed")
@@ -134,7 +132,4 @@ def square_divisor_bounds(k: int, N: int, a_value: int) -> BoundsReport:
     s6 = math.sin(theta / 6.0)
     x1 = scale * (s6 * s6 + math.sin(theta / 3.0) * math.sqrt(3.0) / 2.0)
     x0 = scale * math.cos(theta / 3.0) + shift
-    return BoundsReport(
-        k=k, n=N, T0=t0, T=t, curly_L=L, certificate=INTERVAL,
-        theta=theta, x1=x1, x0=x0,
-    )
+    return BoundsReport(k, N, t0, t, L, INTERVAL, theta, x1, x0)

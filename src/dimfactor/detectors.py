@@ -38,7 +38,8 @@ PRIMALITY_EXCEPTIONS = {(2, 4): -1, (4, 6): 0} | {
     (2, n): 0 for n in (6, 9, 10, 14, 15, 21, 26, 35, 39, 65, 91)
 }
 
-# Levels below each characterization's threshold, answered by lookup.
+# Levels below each characterization's threshold, answered by lookup;
+# every level of the catalogue above is one of them.
 _SQUAREFREE_SMALL = {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False, 9: False}
 _PRIME_SMALL = dict.fromkeys(range(2, 92), False) | dict.fromkeys(primes_below(92), True)
 
@@ -60,12 +61,21 @@ def _verdict(k, N, gap12, relations, conclusions, catalogue, small, names) -> Ve
     """The verdict from the 12-scaled gap between the closed form and the
     oracle value.  ``relations`` names the gap signs 0, +1 and -1,
     ``conclusions`` the outcomes of a zero and a positive gap, and
-    ``names`` the oracle value and the closed form in messages.  A
+    ``names`` the oracle value and the closed form in messages.  Above
+    the levels of ``small`` the characterization decides, and only a
+    negative gap is impossible; that is the common case, so it is tried
+    first.  Every catalogued level is a level of ``small``: at one, a
     catalogued pair is an EXCEPTION whose gap must take the catalogued
-    sign; a level in ``small`` is answered from that table; above it the
-    characterization decides, and only a negative gap is impossible."""
+    sign, and any other pair is answered from the table."""
     sign = (gap12 > 0) - (gap12 < 0)
     relation = relations[sign]
+    holds = small.get(N)
+    if holds is None:
+        suspicious = None
+        if sign < 0:
+            value, closed = names
+            suspicious = f"{value}({k},{N}) > {closed}({k},{N}) is impossible for a truthful oracle"
+        return Verdict(relation, conclusions[sign != 0], None, suspicious)
     expected = catalogue.get((k, N))
     if expected is not None:
         tag = f"k{k}n{N}-{'equal' if expected == 0 else 'reversed'}"
@@ -73,17 +83,10 @@ def _verdict(k, N, gap12, relations, conclusions, catalogue, small, names) -> Ve
         if sign != expected:
             suspicious = f"oracle value inconsistent at exception pair (k={k}, N={N})"
         return Verdict(relation, EXCEPTION, tag, suspicious)
-    holds = small.get(N)
-    if holds is not None:
-        suspicious = None
-        if sign != (0 if holds else 1):
-            suspicious = f"oracle value for (k={k}, N={N}) contradicts the known comparison"
-        return Verdict(relation, conclusions[not holds], None, suspicious)
     suspicious = None
-    if sign < 0:
-        value, closed = names
-        suspicious = f"{value}({k},{N}) > {closed}({k},{N}) is impossible for a truthful oracle"
-    return Verdict(relation, conclusions[sign != 0], None, suspicious)
+    if sign != (0 if holds else 1):
+        suspicious = f"oracle value for (k={k}, N={N}) contradicts the known comparison"
+    return Verdict(relation, conclusions[not holds], None, suspicious)
 
 
 def squarefree_test(N: int, k: int, a_value: int) -> Verdict:

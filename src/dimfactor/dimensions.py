@@ -21,26 +21,21 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Factorization, FrozenRecord, factor_trial, kronecker_m3, kronecker_m4
+from .arith import KRON12, Factorization, FrozenRecord, factor_trial
 from .errors import InternalInconsistencyError
 from .multfuncs import local_product, sharp_local, star_local, twelve_combination, twelve_newform
 
 _LEVEL_ONE = Factorization(())
 
 
-def _count(twelve: int, what: str, k: int, f: Factorization) -> int:
-    """twelve / 12, which must be a nonnegative integer.
-
-    Otherwise it raises InternalInconsistencyError naming the count as
-    ``what(k,N)``; the level N = f.value() is multiplied out only then,
-    so a call that succeeds never builds the message.
-    """
-    q, r = divmod(twelve, 12)
-    if r or q < 0:
-        raise InternalInconsistencyError(
-            f"{what}({k},{f.value()}) = {Fraction(twelve, 12)} is not a nonnegative integer"
-        )
-    return q
+def _not_a_count(twelve: int, what: str, k: int, f: Factorization) -> InternalInconsistencyError:
+    """The error for a count ``what(k,N)`` = twelve / 12 that is not a
+    nonnegative integer.  The counts check twelve themselves and build
+    this only on failure, so the level N = f.value() is multiplied out
+    only then."""
+    return InternalInconsistencyError(
+        f"{what}({k},{f.value()}) = {Fraction(twelve, 12)} is not a nonnegative integer"
+    )
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -50,7 +45,10 @@ def level_one_newform_dim(k: int) -> int:
     This is the dimension of the full cusp space at level one; it is a
     nonnegative integer for every positive even weight.  It depends only
     on k, so the last 128 answers are memoized; a bad weight raises on
-    every call, since a raised call is not cached.
+    every call, since a raised call is not cached.  As in
+    :func:`~dimfactor.arith.twelve_weight_coefficients`, the key is the
+    weight with its type, so no weight is answered from the entry of an
+    equal weight of another type.
     """
     return dim_B(k, _LEVEL_ONE)
 
@@ -61,7 +59,7 @@ def twelve_G(k: int, n: int) -> int:
     squarefree level."""
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
-    return twelve_combination(k, n, 1, kronecker_m4(n), kronecker_m3(n))
+    return twelve_combination(k, n, 1, KRON12[0][n % 12], KRON12[1][n % 12])
 
 
 def dim_G(k: int, n: int) -> Fraction:
@@ -89,9 +87,11 @@ def dim_A(k: int, f: Factorization) -> int:
     """
     if not f.factors:
         return level_one_newform_dim(k)
-    x, w, y, z, _ = local_product(star_local, f)
+    x, w, y, z, _ = local_product(star_local, f.factors)
     twelve = twelve_combination(k, x, w, y, z)
-    return _count(twelve, "representation count A", k, f)
+    if twelve < 0 or twelve % 12:
+        raise _not_a_count(twelve, "representation count A", k, f)
+    return twelve // 12
 
 
 def dim_delta(k: int, f: Factorization) -> Fraction:
@@ -111,8 +111,10 @@ def dim_B(k: int, f: Factorization) -> int:
     :func:`~dimfactor.multfuncs.sharp_local`), plus delta2 * mu(N).
     The result must be a nonnegative integer.
     """
-    twelve = twelve_newform(k, *local_product(sharp_local, f))
-    return _count(twelve, "newform dimension B", k, f)
+    twelve = twelve_newform(k, *local_product(sharp_local, f.factors))
+    if twelve < 0 or twelve % 12:
+        raise _not_a_count(twelve, "newform dimension B", k, f)
+    return twelve // 12
 
 
 # --- the oracle boundary ------------------------------------------------

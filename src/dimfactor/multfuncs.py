@@ -6,7 +6,12 @@ combination that turns either family into a dimension.
 Both families are defined once, by their local factors at a prime power
 (:func:`star_local`, :func:`sharp_local`, each with mu(p^e) last);
 :func:`local_product` alone multiplies them over a factorization, and the
-sieve kernels multiply them over a range.  Every dimension formula of the
+sieve kernels multiply them over a range.  The exact path calls them
+once per prime of every level, so the factors most levels need are
+written out rather than formed by calls: the starred and sharp ones at
+e = 1 and the sharp ones at e = 2, with the Kronecker symbols read off
+``arith.KRON12``.  The tests pin each written-out factor to its
+definition at every prime below 2^12.  Every dimension formula of the
 package is :func:`twelve_combination` of four such values, scaled by 12
 to stay in integers; the newform count adds delta2 * mu to it, in
 :func:`twelve_newform` alone.  The functions of N take a
@@ -19,7 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Factorization, kronecker_m3, kronecker_m4, twelve_weight_coefficients
+from .arith import KRON12, Factorization, twelve_weight_coefficients
+
+_K4, _K3 = KRON12  # (-4|p), (-3|p) by p mod 12; p >= 2 needs no range check
 
 
 def twelve_combination(k: int, x, w, y, z):
@@ -54,11 +61,11 @@ def star_local(p: int, e: int) -> tuple[int, int, int, int, int]:
     This is the one definition of the starred functions; each of them is
     the product of its local factor over the prime powers of N.
     """
+    if e == 1:
+        return p, 1, _K4[p % 12], _K3[p % 12], -1
     if e == 0:
         return 1, 1, 1, 1, 1
     pe = p**e
-    if e == 1:
-        return pe, 1, kronecker_m4(p), kronecker_m3(p), -1
     return (
         pe - pe // (p * p),
         (p - 1) * p ** ((e - 2) // 2),
@@ -76,11 +83,18 @@ def sharp_local(p: int, e: int) -> tuple[int, int, int, int, int]:
     Their products over the prime powers of N are N*s0#(N), nu_inf#(N),
     nu2#(N), nu3#(N) and mu(N): the Mobius inverses of the starred
     functions, from which the newform dimension is one linear combination.
+
+    e = 1 and e = 2 are written out: (p - 1, 0, (-4|p) - 1, (-3|p) - 1, -1)
+    and (p^2 - p - 1, p - 2, -(-4|p) - [p = 2], -(-3|p) - [p = 3], 0).
+    The tests pin both to the difference definition at every prime
+    below 2^12.
     """
+    if e == 1:  # star_local(p, 1) - star_local(p, 0), written out
+        return p - 1, 0, _K4[p % 12] - 1, _K3[p % 12] - 1, -1
+    if e == 2:  # star_local(p, 2) - star_local(p, 1), written out
+        return p * p - p - 1, p - 2, -_K4[p % 12] - (p == 2), -_K3[p % 12] - (p == 3), 0
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
-    if e == 1:  # star_local(p, 1) - star_local(p, 0), written out
-        return p - 1, 0, kronecker_m4(p) - 1, kronecker_m3(p) - 1, -1
     hi, lo = star_local(p, e), star_local(p, e - 1)
     return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3], hi[4]
 
@@ -92,7 +106,11 @@ def local_product(local, pairs) -> tuple[int, int, int, int, int]:
     x = w = y = z = mu = 1
     for p, e in pairs:
         lx, lw, ly, lz, lmu = local(p, e)
-        x, w, y, z, mu = x * lx, w * lw, y * ly, z * lz, mu * lmu
+        x *= lx
+        w *= lw
+        y *= ly
+        z *= lz
+        mu *= lmu
     return x, w, y, z, mu
 
 

@@ -8,9 +8,11 @@ sieves the window alone and compares each block as soon as it is sieved,
 keeping only counters, violations and catalogued pairs; no sweep reads
 whole tables.  A window of at most SMALL_WINDOW = 2^15 levels is sieved
 and compared in pure Python as one block, so a sweep that narrow never
-imports numpy; a wider one runs in numpy.  A numpy block's rows become
-the gap rows, so ``twelve_combination`` (``twelve_newform`` with -mu as a
-fifth row) gives its gap at each weight.  A block of lists is left as it
+imports numpy; a wider one runs in numpy, and is refused with a
+ValueError before any block is sieved where numpy cannot be imported.
+A numpy block's rows become the gap rows, so ``twelve_combination``
+(``twelve_newform`` with -mu as a fifth row) gives its gap at each
+weight.  A block of lists is left as it
 is: the form is linear, so its coefficients at a weight are its values
 at the unit rows, read once, and the gap takes one pass per weight.
 Both modes and both forms run one comparison: the gap's sign must be 0
@@ -96,20 +98,28 @@ def _off_pattern(g, holds) -> set[int]:
 
 def _compare(mode: str, lo: int, hi: int, ks, small, wide, catalogue) -> SweepReport:
     """The sweep of ``mode`` over [lo, hi] at the weights ks, refused by
-    :func:`check_sweep` before any block is sieved.  ``small`` and
-    ``wide`` are the mode's (sieve, gap) pairs in pure Python and in
-    numpy; a window of at most SMALL_WINDOW levels is one block of the
-    first, a wider one streams the blocks of the second.  Compares
-    sign(gap) block by block with what the characterization predicts,
-    for every weight: 0 where the block's mask holds (N squarefree, or
-    prime), +1 elsewhere, and the catalogued sign at each pair of
-    ``catalogue`` in range.  ``gap(levels, rows)`` gives the block's gap
-    as a function of the weight.  A numpy block is a view of buffers the
-    sieve refills, so each block is compared in full before the next is
-    drawn.  Violations are listed weight by weight, each in level order."""
+    :func:`check_sweep` before any block is sieved, and refused as well
+    when the window is wider than SMALL_WINDOW and numpy cannot be
+    imported.  ``small`` and ``wide`` are the mode's (sieve, gap) pairs
+    in pure Python and in numpy; a window of at most SMALL_WINDOW levels
+    is one block of the first, a wider one streams the blocks of the
+    second.  Compares sign(gap) block by block with what the
+    characterization predicts, for every weight: 0 where the block's
+    mask holds (N squarefree, or prime), +1 elsewhere, and the
+    catalogued sign at each pair of ``catalogue`` in range.
+    ``gap(levels, rows)`` gives the block's gap as a function of the
+    weight.  A numpy block is a view of buffers the sieve refills, so
+    each block is compared in full before the next is drawn.  Violations
+    are listed weight by weight, each in level order."""
     ks = tuple(ks)
     check_sweep(lo, hi, ks)
     narrow = hi - lo + 1 <= SMALL_WINDOW
+    if not narrow:
+        try:
+            import numpy  # the wide sieve imports it all the same
+        except ImportError:
+            raise ValueError(f"a window wider than {SMALL_WINDOW} levels needs numpy, "
+                             "which cannot be imported") from None
     sieve, gap = small if narrow else wide
     blocks = [sieve(lo, hi)] if narrow else sieve(lo, hi)
     report = SweepReport(mode, lo, hi, ks)

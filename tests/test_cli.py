@@ -650,6 +650,26 @@ def test_numpy_loads_only_when_a_sweep_runs(argv, numpy_loaded):
         assert ("reductions" in ran) == (argv[0] == "factor"), ran
 
 
+# runs the CLI on argv with numpy blocked, as where it is not installed
+_CLI_WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from dimfactor.__main__ import run; run()"
+
+
+@pytest.mark.parametrize("mode", ["squarefree", "prime"])
+def test_a_wide_sweep_without_numpy_is_refused_in_one_line(mode):
+    # without numpy a window wider than SMALL_WINDOW is refused before any
+    # block is sieved, with one error line and no traceback; a narrower one
+    # runs in pure Python and prints what it prints with numpy
+    wide = _child("-c", _CLI_WITHOUT_NUMPY, "sweep", "2..100000", "--k", "2", "--mode", mode)
+    assert (wide.returncode, wide.stdout) == (64, "")
+    assert len(wide.stderr.splitlines()) == 1 and wide.stderr.startswith("error: ")
+    assert "numpy" in wide.stderr and str(SMALL_WINDOW) in wide.stderr
+    assert "Traceback" not in wide.stderr
+    narrow = ["sweep", "2..30000", "--k", "2", "--mode", mode, "--json"]
+    without, with_numpy = _child("-c", _CLI_WITHOUT_NUMPY, *narrow), _child("-m", "dimfactor", *narrow)
+    assert (without.returncode, with_numpy.returncode) == (0, 0), without.stderr
+    assert without.stdout == with_numpy.stdout and json.loads(without.stdout)["violations"] == []
+
+
 def test_library_calls_do_not_load_numpy():
     out = _child("-c", "import sys, dimfactor as d; d.dim_A(2, d.factor_trial(11)); "
                  "print('numpy' in sys.modules)")

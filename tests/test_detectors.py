@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimfactor import kernels
+from dimfactor import detectors, kernels
 from dimfactor.arith import factor_trial
 from dimfactor.bounds import square_divisor_bounds
 from dimfactor.detectors import (
@@ -179,6 +179,14 @@ def test_exception_catalogue_pinned(test, value, pair, tag, relation):
             assert (lie.exception_tag, lie.conclusion) == (tag, EXCEPTION)
             assert (lie.suspicious is None) == (lie.relation == relation), off
             assert (lie.suspicious is None) == (relation != EQUAL), off
+
+
+def test_every_catalogued_level_is_answered_by_lookup():
+    # a verdict reads the catalogue only at the levels its lookup table
+    # answers, so a pair added above that table must extend the table too
+    for catalogue, small in ((detectors.SQUAREFREE_EXCEPTIONS, detectors._SQUAREFREE_SMALL),
+                             (detectors.PRIMALITY_EXCEPTIONS, detectors._PRIME_SMALL)):
+        assert all(n in small for _, n in catalogue), catalogue
 
 
 def test_weight_cap():

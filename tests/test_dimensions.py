@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,17 +307,21 @@ def test_weight_memos_match_the_uncached_formulas():
             for _ in range(2):  # a raised call is not cached
                 with pytest.raises(InvalidWeightError):
                     memo(k)
-        # a weight equal to a memoized int but of another type is not
-        # answered from the memo: it behaves as the uncached function does
+        # a weight equal to a memoized one but of another type is not
+        # answered from the memo: it behaves as the uncached function does.
+        # numpy.int64(12) goes in first, so 12.0 and Fraction(12), equal to
+        # it and raising where it answers, show that no two types share a key
         memo(12)
-        for k in (12.0, Fraction(12)):
+        for k in (numpy.int64(12), 12.0, Fraction(12), True, numpy.int64(14), 14.0):
             try:
                 want = memo.__wrapped__(k)
             except Exception as exc:
                 with pytest.raises(type(exc)):
                     memo(k)
             else:
-                assert memo(k) == want and type(memo(k)) is type(want)
+                for _ in range(2):  # computed, then read from the memo
+                    got = memo(k)
+                    assert got == want and type(got) is type(want), k
 
 
 def test_count_error_text_is_built_only_on_failure(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimfactor.arith import Factorization, factor_trial
+from dimfactor.arith import Factorization, factor_trial, kronecker_m3, kronecker_m4, primes_below
 from dimfactor.kernels import mobius_invert
 from dimfactor.multfuncs import (
     local_product,
@@ -128,3 +128,17 @@ def test_local_products_match_definitions_everywhere(star_definitions):
         mu = mobius(f)
         assert local_product(star_local, f) == (*(int(v[n]) for v in star), mu), n
         assert local_product(sharp_local, f) == (*(int(v[n]) for v in sharp), mu), n
+
+
+def test_written_out_local_factors_match_their_definitions():
+    # sharp_local writes e = 1 and e = 2 out, and star_local reads the
+    # Kronecker symbols of p off their table without the symbols' level
+    # check: each must stay what it is defined as, in exact ints, at every
+    # prime below 2^12 (the sweep above reaches e = 2 only up to p = 141)
+    for p in primes_below(1 << 12):
+        assert star_local(p, 1)[2:4] == (kronecker_m4(p), kronecker_m3(p)), p
+        for e in (1, 2):
+            hi, lo = star_local(p, e), star_local(p, e - 1)
+            got = sharp_local(p, e)
+            assert got == (*(a - b for a, b in zip(hi[:4], lo[:4])), hi[4]), (p, e)
+            assert all(type(v) is int for v in got), (p, e)
